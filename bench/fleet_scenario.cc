@@ -10,8 +10,10 @@
 //
 // The headline numbers are host-side events/second plus the simulated
 // provision and attestation phase latencies (mean/max, in sim time).
-// The sim-time latency keys are informational; the regression
-// guard (scripts/bench_guard.py) tracks the wall_ms / events_per_second /
+// The sim-time latency keys are informational, and so is the window
+// telemetry of the parallel leg (windows, the share run inline on the
+// calling thread, events per window); the regression guard
+// (scripts/bench_guard.py) tracks the wall_ms / events_per_second /
 // ns_per_event keys.
 //
 // Usage: fleet_scenario [output-path] [--nodes=N] [--horizon-s=S]
@@ -122,6 +124,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(oracle.attest_latency_count) / 1e3
           : 0.0;
 
+  const double events_per_window =
+      sharded.windows > 0 ? events / static_cast<double>(sharded.windows) : 0.0;
+
   char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
@@ -142,13 +147,17 @@ int main(int argc, char** argv) {
       "  \"scenario_events_per_second\": %.0f,\n"
       "  \"scenario_ns_per_event\": %.1f,\n"
       "  \"scenario_parallel_shards\": %u,\n"
-      "  \"scenario_parallel_wall_ms\": %.3f\n"
+      "  \"scenario_parallel_wall_ms\": %.3f,\n"
+      "  \"scenario_parallel_windows\": %" PRIu64 ",\n"
+      "  \"scenario_parallel_windows_inline\": %" PRIu64 ",\n"
+      "  \"scenario_parallel_events_per_window\": %.2f\n"
       "}\n",
       nodes, cores, horizon_s, oracle.events, oracle.frames_routed,
       oracle.provisions, oracle.quotes, oracle.churn_cycles, prov_mean_ms,
       static_cast<double>(oracle.provision_latency_max_ns) / 1e6, att_mean_us,
       static_cast<double>(oracle.attest_latency_max_ns) / 1e3, oracle_ms,
-      events / (oracle_ms / 1e3), oracle_ms * 1e6 / events, par, par_ms);
+      events / (oracle_ms / 1e3), oracle_ms * 1e6 / events, par, par_ms,
+      sharded.windows, sharded.windows_inline, events_per_window);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -162,6 +171,9 @@ int main(int argc, char** argv) {
               "ms, digest %016" PRIx64 " identical\n",
               oracle.events, oracle_ms, events / (oracle_ms / 1e3), par, par_ms,
               oracle.fleet_digest);
+  std::printf("shards=%u: %" PRIu64 " windows (%" PRIu64
+              " inline), %.2f events/window\n",
+              par, sharded.windows, sharded.windows_inline, events_per_window);
   std::printf("provision mean %.1f ms max %.1f ms; attest mean %.1f us max "
               "%.1f us (sim time)\nwrote %s\n",
               prov_mean_ms,

@@ -68,6 +68,7 @@ struct RunResult {
   uint64_t events = 0;
   uint64_t frames = 0;
   uint64_t windows = 0;
+  uint64_t windows_inline = 0;
   uint64_t spills = 0;
   double wall_ms = 0;
   uint64_t fleet_digest = 0;
@@ -92,6 +93,11 @@ void NodeStep(ShardedFleet& fleet, Rack& rack, uint32_t node) {
   const auto next = static_cast<int64_t>(5000 + rng.NextBelow(10000));
   rack.sim().Schedule(Duration::Nanoseconds(next),
                       [&fleet, &rack, node] { NodeStep(fleet, rack, node); });
+}
+
+double PerWindow(uint64_t events, uint64_t windows) {
+  return windows > 0 ? static_cast<double>(events) / static_cast<double>(windows)
+                     : 0.0;
 }
 
 RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
@@ -158,6 +164,7 @@ RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
   result.events = fleet.events_processed();
   result.frames = fleet.frames_routed();
   result.windows = fleet.windows();
+  result.windows_inline = fleet.inline_windows();
   result.spills = fleet.ring_spills();
   result.fleet_digest = fleet.fleet_digest();
   for (uint32_t r = 0; r < config.racks; ++r) {
@@ -263,13 +270,17 @@ int main(int argc, char** argv) {
                   "  \"sharding_shards%u_events\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_frames_routed\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_windows\": %" PRIu64 ",\n"
+                  "  \"sharding_shards%u_windows_inline\": %" PRIu64 ",\n"
+                  "  \"sharding_shards%u_events_per_window\": %.2f,\n"
                   "  \"sharding_shards%u_ring_spills\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_wall_ms\": %.3f,\n"
                   "  \"sharding_shards%u_events_per_second\": %.0f,\n"
                   "  \"sharding_shards%u_ns_per_event\": %.1f,\n"
                   "  \"sharding_speedup_shards%u\": %.3f%s\n",
                   shard_counts[i], r.events, shard_counts[i], r.frames,
-                  shard_counts[i], r.windows, shard_counts[i], r.spills,
+                  shard_counts[i], r.windows, shard_counts[i],
+                  r.windows_inline, shard_counts[i],
+                  PerWindow(r.events, r.windows), shard_counts[i], r.spills,
                   shard_counts[i], r.wall_ms, shard_counts[i], eps,
                   shard_counts[i], ns_per_event, shard_counts[i],
                   oracle_eps > 0 ? eps / oracle_eps : 0.0,
@@ -289,8 +300,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     std::printf("shards=%u  %9" PRIu64 " events  %8" PRIu64
-                " frames  %6" PRIu64 " windows  %8.1f ms  %.2fx\n",
-                shard_counts[i], r.events, r.frames, r.windows, r.wall_ms,
+                " frames  %6" PRIu64 " windows (%" PRIu64
+                " inline, %.1f events/window)  %8.1f ms  %.2fx\n",
+                shard_counts[i], r.events, r.frames, r.windows,
+                r.windows_inline, PerWindow(r.events, r.windows), r.wall_ms,
                 oracle.wall_ms > 0 ? oracle.wall_ms / r.wall_ms : 0.0);
   }
   if (pcap_rack >= 0) {

@@ -521,12 +521,10 @@ sim::Task Enclave::SetupStorageAndBoot(const std::string& node, NodeRuntime& rt)
 
 sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outcome) {
   sim::Simulation& sim = cloud_.sim();
-  const Calibration& cal = cloud_.cal();
   // Naming the trace after the node routes the phase spans onto a per-node
   // track in the chrome-trace export, so concurrent provisions interleave
   // legibly instead of stacking on one row.
   outcome->trace.Start(sim, "provision:" + node);
-  provision::PhaseTrace& trace = outcome->trace;
 
   machine::Machine* machine = cloud_.FindMachine(node);
   if (machine == nullptr || !cloud_.hil().ConnectNode(project_, node)) {
@@ -547,6 +545,21 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
   }
   rt = NodeRuntime{};
   rt.machine = machine;
+  // ReleaseNode waits on this until the steps below have settled the node
+  // (allocated or rejected): until then they use `rt` and the devices it
+  // owns, the iSCSI initiator of the boot reads included.
+  rt.settled = std::make_unique<sim::Event>(sim);
+  sim::Event* settled = rt.settled.get();
+  co_await ProvisionSteps(node, rt, outcome);
+  settled->Set();
+}
+
+sim::Task Enclave::ProvisionSteps(const std::string& node, NodeRuntime& rt,
+                                  ProvisionOutcome* outcome) {
+  sim::Simulation& sim = cloud_.sim();
+  const Calibration& cal = cloud_.cal();
+  provision::PhaseTrace& trace = outcome->trace;
+  machine::Machine* machine = rt.machine;
 
   co_await EnterAirlock(node, rt);
   trace.Mark("allocate+airlock");
@@ -662,7 +675,13 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
 }
 
 sim::Task Enclave::ReleaseNode(const std::string& node, bool keep_snapshot) {
-  const auto it = nodes_.find(node);
+  auto it = nodes_.find(node);
+  // A provisioning still in flight owns this runtime until it settles.
+  while (it != nodes_.end() && it->second.settled != nullptr &&
+         !it->second.settled->is_set()) {
+    co_await *it->second.settled;
+    it = nodes_.find(node);
+  }
   if (it == nodes_.end()) {
     co_return;
   }

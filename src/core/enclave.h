@@ -133,10 +133,16 @@ class Enclave {
     storage::ImageId image = 0;
     net::VlanId airlock_vlan = 0;
     std::string airlock_name;
+    // Set once the provisioning that created this runtime has allocated
+    // or rejected the node; ReleaseNode waits for it.
+    std::unique_ptr<sim::Event> settled;
   };
 
   std::vector<net::Address> ServiceAddresses() const;
   keylime::Whitelist BuildWhitelist() const;
+  // ProvisionNode after the node is connected and its runtime reset.
+  sim::Task ProvisionSteps(const std::string& node, NodeRuntime& rt,
+                           ProvisionOutcome* outcome);
   sim::Task EnterAirlock(const std::string& node, NodeRuntime& rt);
   sim::Task LeaveAirlockToEnclave(const std::string& node, NodeRuntime& rt);
   sim::Task RejectNode(const std::string& node, NodeRuntime& rt,

@@ -94,6 +94,9 @@ struct ShardedScenarioResult {
   uint64_t events = 0;
   uint64_t frames_routed = 0;
   uint64_t windows = 0;
+  // Windows run on the calling thread (at most one shard due); see
+  // sim::ShardedFleet::inline_windows().
+  uint64_t windows_inline = 0;
   uint64_t spills = 0;
   int64_t final_time_ns = 0;
 

@@ -242,6 +242,9 @@ EventId WheelScheduler::Schedule(Time now_t, Time when_t, uint64_t seq,
     drain_.push_back(index);
     ++drain_live_;
   } else {
+    if (earliest_valid_) {
+      earliest_ = std::min(earliest_, when);
+    }
     if (live_ == 1) {
       // Queue was empty: snap the cursor up to the clock (the lower bound
       // on every future `when`) so placement doesn't cascade down from
@@ -262,6 +265,10 @@ void WheelScheduler::Cancel(EventId id) {
   Rec& rec = recs_[index];
   if (rec.gen != gen) {
     return;  // stale handle: the event fired (or was cancelled) long ago
+  }
+  if (rec.when == earliest_ &&
+      (rec.state == State::kWheel || rec.state == State::kSpill)) {
+    earliest_valid_ = false;  // maybe the only record at the minimum
   }
   switch (rec.state) {
     case State::kWheel:
@@ -326,6 +333,8 @@ bool WheelScheduler::RefillDrain() {
   drain_.clear();
   drain_cursor_ = 0;
   drain_live_ = 0;
+  // The earliest instant leaves the wheel for drain_ below.
+  earliest_valid_ = false;
 
   for (;;) {
     int level = -1;
@@ -401,11 +410,7 @@ bool WheelScheduler::RefillDrain() {
   }
 }
 
-bool WheelScheduler::PeekNextTime(Time* when) {
-  if (drain_live_ > 0) {
-    *when = Time::FromNanoseconds(drain_time_);
-    return true;
-  }
+int64_t WheelScheduler::ScanEarliest() {
   // Cross-level order makes the earliest live event sit in the earliest
   // occupied slot of the lowest occupied level; within that slot (a span
   // of 2^(6k) ns for level k) the minimum `when` wins.
@@ -419,15 +424,26 @@ bool WheelScheduler::PeekNextTime(Time* when) {
          index = recs_[index].next) {
       earliest = std::min(earliest, recs_[index].when);
     }
-    *when = Time::FromNanoseconds(earliest);
-    return true;
+    return earliest;
   }
   PruneSpillTop();
-  if (!spill_.empty()) {
-    *when = Time::FromNanoseconds(spill_.front().when);
+  return spill_.empty() ? kNoRecord : spill_.front().when;
+}
+
+bool WheelScheduler::PeekNextTime(Time* when) {
+  if (drain_live_ > 0) {
+    *when = Time::FromNanoseconds(drain_time_);
     return true;
   }
-  return false;
+  if (!earliest_valid_) {
+    earliest_ = ScanEarliest();
+    earliest_valid_ = true;
+  }
+  if (earliest_ == kNoRecord) {
+    return false;
+  }
+  *when = Time::FromNanoseconds(earliest_);
+  return true;
 }
 
 bool WheelScheduler::PopNext(Time* when, uint64_t* seq, EventFn* fn) {

@@ -196,6 +196,9 @@ class WheelScheduler final : public Scheduler {
   // events sit in a level-0 slot, then moves that slot — one exact
   // instant — into drain_, sorted by seq.  False when nothing is pending.
   bool RefillDrain();
+  // Earliest `when` among wheel and spill records (kNoRecord when there
+  // are none), found by walking the earliest occupied slot.
+  int64_t ScanEarliest();
 
   std::vector<Rec> recs_;
   std::vector<uint32_t> free_recs_;
@@ -221,6 +224,14 @@ class WheelScheduler final : public Scheduler {
   std::vector<uint32_t> drain_;
   size_t drain_cursor_ = 0;
   size_t drain_live_ = 0;
+
+  // Exact memo of ScanEarliest() while earliest_valid_ (DESIGN.md §10):
+  // Schedule lowers it, a Cancel of a record at that instant and every
+  // RefillDrain drop it, and PeekNextTime rescans lazily.  Records in
+  // drain_ are not covered; Peek answers from drain_time_ first.
+  static constexpr int64_t kNoRecord = INT64_MAX;
+  int64_t earliest_ = kNoRecord;
+  bool earliest_valid_ = true;
 
   size_t live_ = 0;
 };

@@ -87,11 +87,9 @@ WorkerPool::WorkerPool(uint32_t threads, bool pin)
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
+  stop_ = true;  // published by the epoch bump's release
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (std::thread& w : workers_) {
     w.join();
   }
@@ -118,25 +116,18 @@ void WorkerPool::WorkerMain(uint32_t index) {
   if (pin_) {
     PinTo(index);
   }
-  uint64_t seen_epoch = 0;
+  uint32_t seen_epoch = 0;
   for (;;) {
-    const std::function<void(uint32_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock,
-                     [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      job = job_;
+    epoch_.wait(seen_epoch, std::memory_order_acquire);
+    seen_epoch = epoch_.load(std::memory_order_acquire);
+    if (stop_) {
+      return;
     }
-    (*job)(index);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++done_;
+    (*job_)(index);
+    // The release half publishes the job's writes to RunOnAll's caller.
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      running_.notify_one();
     }
-    done_cv_.notify_one();
   }
 }
 
@@ -145,19 +136,16 @@ void WorkerPool::RunOnAll(const std::function<void(uint32_t)>& job) {
     job(0);  // the single-threaded oracle path: no synchronization at all
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    done_ = 0;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
+  // job_ and running_ are published by the epoch bump's release.
+  job_ = &job;
+  running_.store(threads_ - 1, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   job(0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return done_ == threads_ - 1; });
-    job_ = nullptr;
+  for (uint32_t left; (left = running_.load(std::memory_order_acquire)) != 0;) {
+    running_.wait(left, std::memory_order_acquire);
   }
+  job_ = nullptr;
 }
 
 // --- Rack -------------------------------------------------------------------
@@ -186,10 +174,6 @@ void Rack::Send(uint32_t dst_rack, Duration delay, uint32_t kind,
 }
 
 // --- ShardedFleet -----------------------------------------------------------
-
-void ShardedFleet::BarrierCompletion::operator()() noexcept {
-  fleet->ComputeWindow(fleet->limit_ns_);
-}
 
 ShardedFleet::ShardedFleet(const ShardOptions& options)
     : lookahead_(options.lookahead) {
@@ -224,6 +208,10 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
   }
 
   pool_ = std::make_unique<WorkerPool>(num_workers_, options.pin_workers);
+  if (num_workers_ > 1) {
+    run_barrier_ = std::make_unique<std::barrier<>>(num_workers_);
+  }
+  parallel_window_ = [this](uint32_t worker) { ParallelWindow(worker); };
 }
 
 ShardedFleet::~ShardedFleet() = default;
@@ -232,7 +220,7 @@ void ShardedFleet::Submit(uint32_t src_shard, const CrossShardFrame& frame) {
   const uint32_t dst_shard = racks_[frame.dst_rack]->shard_;
   if (!ring(src_shard, dst_shard).TryPush(frame)) {
     // Out of credits: simulations may never drop or block, so spill to
-    // the producer-owned backstop the router drains at the next barrier.
+    // the producer-owned backstop the router drains after the run phase.
     overflow(src_shard, dst_shard).push_back(frame);
     ++shards_[src_shard].spills;
   }
@@ -248,19 +236,38 @@ void ShardedFleet::DrainInbound(uint32_t d) {
   }
 }
 
-void ShardedFleet::RoutePhase(uint32_t d) {
-  ShardState& st = shards_[d];
-  // Complete the window's traffic: whatever the opportunistic run-phase
-  // drains missed is in the rings (barrier A made every push visible),
-  // and credit-exhausted frames sit in the producers' overflow vectors
-  // (same barrier; the producers are quiesced until barrier B).
-  DrainInbound(d);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    std::vector<CrossShardFrame>& spill = overflow(s, d);
-    st.staged.insert(st.staged.end(), spill.begin(), spill.end());
-    spill.clear();
+void ShardedFleet::Collect(uint32_t src, uint32_t dst) {
+  ShardState& st = shards_[dst];
+  CrossShardFrame frame;
+  while (ring(src, dst).TryPop(&frame)) {
+    st.staged.push_back(frame);
   }
+  std::vector<CrossShardFrame>& spill = overflow(src, dst);
+  st.staged.insert(st.staged.end(), spill.begin(), spill.end());
+  spill.clear();
+}
 
+void ShardedFleet::RefreshMinNext(uint32_t s) {
+  ShardState& st = shards_[s];
+  int64_t min_next = kNoEvent;
+  for (uint32_t r : st.racks) {
+    Time next;
+    if (racks_[r]->sim_->PeekNextEventTime(&next)) {
+      min_next = std::min(min_next, next.nanoseconds());
+    }
+  }
+  st.min_next = min_next;
+}
+
+void ShardedFleet::RunShard(uint32_t s) {
+  const Time end = Time::FromNanoseconds(window_end_ns_);
+  for (uint32_t r : shards_[s].racks) {
+    racks_[r]->sim_->RunBefore(end);
+  }
+}
+
+void ShardedFleet::RoutePhase(uint32_t d, bool ran) {
+  ShardState& st = shards_[d];
   if (!st.staged.empty()) {
     st.route_buf.swap(st.staged);
     std::sort(st.route_buf.begin(), st.route_buf.end(), CanonicalLess);
@@ -288,28 +295,23 @@ void ShardedFleet::RoutePhase(uint32_t d) {
     }
     st.routed += st.route_buf.size();
     st.route_buf.clear();
+    ran = true;
   }
-
-  int64_t min_next = kNoEvent;
-  for (uint32_t r : st.racks) {
-    Time next;
-    if (racks_[r]->sim_->PeekNextEventTime(&next)) {
-      min_next = std::min(min_next, next.nanoseconds());
-    }
+  // A shard that neither ran nor received anything kept its minimum.
+  if (ran) {
+    RefreshMinNext(d);
   }
-  st.min_next = min_next;
 }
 
-void ShardedFleet::ComputeWindow(int64_t limit_ns) {
+bool ShardedFleet::ComputeWindow(int64_t limit_ns) {
   int64_t min_next = kNoEvent;
   for (const ShardState& st : shards_) {
     min_next = std::min(min_next, st.min_next);
   }
   if (min_next == kNoEvent || min_next > limit_ns) {
-    // Every rack idle (or idle up to the horizon) and — since the route
-    // phase fully drains every channel — no frame in flight: done.
-    done_ = true;
-    return;
+    // Every rack idle (or idle up to the horizon) and — since every
+    // window's routing fully drains the channels — no frame in flight.
+    return false;
   }
   // The conservative window: everything strictly before min_next + L is
   // safe, because a cross-rack frame sent at t >= min_next with delay >=
@@ -321,58 +323,66 @@ void ShardedFleet::ComputeWindow(int64_t limit_ns) {
   }
   window_end_ns_ = end;
   ++windows_;
+  return true;
 }
 
-void ShardedFleet::WorkerLoop(uint32_t worker, int64_t limit_ns) {
-  (void)limit_ns;
-  for (;;) {
-    // Window state (done_, window_end_ns_) was published by the previous
-    // barrier-B completion — or, for the first window, by RunWindows
-    // before the pool dispatch — so every worker reads a settled value.
-    if (done_) {
-      return;
+void ShardedFleet::InlineWindow(uint32_t s) {
+  RunShard(s);
+  // Every channel was empty when the window began, so the only frames in
+  // flight are the ones shard s just sent.
+  for (uint32_t d = 0; d < num_shards_; ++d) {
+    Collect(s, d);
+    RoutePhase(d, d == s);
+  }
+}
+
+void ShardedFleet::ParallelWindow(uint32_t worker) {
+  for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
+    if (shards_[s].due) {
+      RunShard(s);
     }
-    const Time end = Time::FromNanoseconds(window_end_ns_);
-    for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
-      ShardState& st = shards_[s];
-      for (uint32_t r : st.racks) {
-        st.events += racks_[r]->sim_->RunBefore(end);
-      }
-      // Opportunistic drain: return ring credits while other shards are
-      // still executing; the frames just wait in staging for the router.
-      DrainInbound(s);
-    }
+    // Opportunistic drain: return ring credits while other shards are
+    // still executing; the frames just wait in staging for the router.
+    DrainInbound(s);
+  }
+  if (run_barrier_ != nullptr) {
     run_barrier_->arrive_and_wait();
-    for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
-      RoutePhase(s);
+  }
+  // Route: the barrier made every push visible, and the producers are
+  // quiesced until the next dispatch, so their overflow vectors are safe
+  // to drain too.
+  for (uint32_t d = worker; d < num_shards_; d += num_workers_) {
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      Collect(s, d);
     }
-    route_barrier_->arrive_and_wait();  // completion runs ComputeWindow
+    RoutePhase(d, shards_[d].due);
   }
 }
 
 void ShardedFleet::RunWindows(int64_t limit_ns) {
-  // Seed the shard minima and the first window on the caller before any
-  // worker starts; RunOnAll's dispatch gives the happens-before edge.
-  for (ShardState& st : shards_) {
-    int64_t min_next = kNoEvent;
-    for (uint32_t r : st.racks) {
-      Time next;
-      if (racks_[r]->sim_->PeekNextEventTime(&next)) {
-        min_next = std::min(min_next, next.nanoseconds());
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    RefreshMinNext(s);
+  }
+  while (ComputeWindow(limit_ns)) {
+    // A shard is due when one of its racks has an event before the window
+    // end; the others would fire nothing.  At least one is always due.
+    uint32_t due = 0;
+    uint32_t last_due = 0;
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      ShardState& st = shards_[s];
+      st.due = st.min_next < window_end_ns_;
+      if (st.due) {
+        ++due;
+        last_due = s;
       }
     }
-    st.min_next = min_next;
+    if (due == 1) {
+      ++windows_inline_;
+      InlineWindow(last_due);
+    } else {
+      pool_->RunOnAll(parallel_window_);
+    }
   }
-  done_ = false;
-  ComputeWindow(limit_ns);
-
-  limit_ns_ = limit_ns;
-  run_barrier_ = std::make_unique<std::barrier<>>(num_workers_);
-  route_barrier_ = std::make_unique<std::barrier<BarrierCompletion>>(
-      num_workers_, BarrierCompletion{this});
-  pool_->RunOnAll([this](uint32_t worker) { WorkerLoop(worker, limit_ns_); });
-  run_barrier_.reset();
-  route_barrier_.reset();
 
   frames_routed_ = 0;
   ring_spills_ = 0;

@@ -19,11 +19,18 @@
 //
 // because any cross-rack frame generated inside the window is sent at
 // some t >= min_next with delay >= L, hence delivered at >= window_end —
-// it cannot affect the window being executed.  At the window barrier the
+// it cannot affect the window being executed.  After the run phase the
 // router drains every shard-pair channel, sorts each destination rack's
 // inbound frames into the canonical (deliver_ns, src_rack, src_seq)
 // order, and schedules them; destination-side seq assignment is therefore
 // identical no matter which shard or worker produced the frames.
+//
+// The calling thread coordinates: it computes every window, and when at
+// most one shard has an event due before the window end — the common case
+// under sparse control-plane traffic — it runs and routes that window
+// itself, with no barrier and no worker wake-up.  Only windows with two or
+// more due shards go to the pool (run, one barrier, route).  The window
+// sequence is the same either way, and so is every rack's event stream.
 //
 // Cross-shard transport is a netmux-style mesh of single-producer /
 // single-consumer ring channels (one per shard pair) with credit-based
@@ -31,26 +38,26 @@
 // credits, refreshes them from the consumer's published head when they
 // run out, and — since a simulation must never drop or block — spills to
 // a producer-owned overflow vector that the router drains at the next
-// barrier (counted, so benches can size the rings to make spills rare).
+// route (counted, so benches can size the rings to make spills rare).
 // Consumers also drain opportunistically during the run phase, returning
 // credits while producers are still executing.
 //
-// Thread discipline: a rack is only ever touched by the worker that owns
-// its shard (the mapping is fixed for a run), and the run/route phases
-// are separated by barriers, so rack Simulations need no locks.  The
-// frame handler is invoked on the owning worker and must confine itself
-// to the destination rack passed to it.
+// Thread discipline: within a parallel window a rack is only touched by
+// the worker that owns its shard, and the run/route phases are separated
+// by a barrier; inline windows run entirely on the calling thread, and the
+// pool's dispatch and join order them against the parallel ones — so rack
+// Simulations need no locks.  The frame handler runs on whichever thread
+// executes the destination rack's window and must confine itself to the
+// rack passed to it.
 
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
 #include <atomic>
 #include <barrier>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -132,8 +139,8 @@ class SpscRing {
 // Persistent team of worker threads.  Thread 0 is the calling thread, so
 // WorkerPool(1) is a plain inline call with no thread machinery — the
 // single-threaded oracle path.  Reused across calls (the sharded fleet
-// dispatches one RunOnAll per Run, the fleet verifier one per poll
-// round), so worker threads keep their core pinning and warm caches.
+// dispatches one RunOnAll per parallel window, the fleet verifier one per
+// poll round), so worker threads keep their core pinning and warm caches.
 class WorkerPool {
  public:
   // Spawns threads-1 workers; with pin=true each thread (including the
@@ -157,13 +164,13 @@ class WorkerPool {
 
   uint32_t threads_;
   bool pin_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
+  // Dispatch: RunOnAll sets job_ and running_, then bumps epoch_ (release)
+  // to wake the workers; each worker decrements running_ when done, and
+  // the last one wakes the caller.  Both waits are std::atomic::wait.
   const std::function<void(uint32_t)>* job_ = nullptr;
-  uint64_t epoch_ = 0;
-  uint32_t done_ = 0;
   bool stop_ = false;
+  std::atomic<uint32_t> epoch_{0};
+  std::atomic<uint32_t> running_{0};
   std::vector<std::thread> workers_;
 };
 
@@ -217,10 +224,10 @@ class Rack {
 
 class ShardedFleet {
  public:
-  // Invoked on the owning worker when a frame's delivery instant fires in
-  // the destination rack's event stream.  Must be safe to call
-  // concurrently for *different* racks (capture immutable config; mutate
-  // only through the Rack argument and per-rack state).
+  // Invoked when a frame's delivery instant fires in the destination
+  // rack's event stream, on the thread running that rack's window.  Must
+  // be safe to call concurrently for *different* racks (capture immutable
+  // config; mutate only through the Rack argument and per-rack state).
   using FrameHandler = std::function<void(Rack&, const CrossShardFrame&)>;
 
   explicit ShardedFleet(const ShardOptions& options);
@@ -248,8 +255,12 @@ class ShardedFleet {
   uint64_t frames_routed() const { return frames_routed_; }
   // Ring pushes that found no credit and took the overflow path.
   uint64_t ring_spills() const { return ring_spills_; }
-  // Conservative windows executed (two barriers each).
+  // Conservative windows executed.
   uint64_t windows() const { return windows_; }
+  // Windows in which at most one shard had an event due, run on the
+  // calling thread without waking the pool; the other windows() -
+  // inline_windows() were dispatched to the workers.
+  uint64_t inline_windows() const { return windows_inline_; }
 
   // Per-rack trace digest — THE determinism invariant: byte-identical for
   // every (shards, workers) configuration of the same seeded scenario.
@@ -265,13 +276,14 @@ class ShardedFleet {
   struct ShardState {
     std::vector<uint32_t> racks;  // rack indices owned by this shard
     // Inbound frames staged by opportunistic drains during the run phase;
-    // merged with the barrier drain and sorted canonically by the router.
+    // merged with the route-time drain and sorted canonically.
     std::vector<CrossShardFrame> staged;
     std::vector<CrossShardFrame> route_buf;
     // Earliest pending event over this shard's racks (ns; INT64_MAX when
-    // idle), recomputed in the route phase.
+    // idle), refreshed whenever the shard ran or received frames.
     int64_t min_next = 0;
-    uint64_t events = 0;
+    // min_next < the current window end: the shard has work this window.
+    bool due = false;
     uint64_t routed = 0;
     uint64_t spills = 0;
   };
@@ -284,23 +296,25 @@ class ShardedFleet {
   }
 
   void Submit(uint32_t src_shard, const CrossShardFrame& frame);
-  // Drains rings destined to shard d into its staging buffer (run phase:
-  // returns credits early; route phase: completes the window's traffic).
+  // Drains rings destined to shard d into its staging buffer during the
+  // run phase, returning credits early.
   void DrainInbound(uint32_t d);
-  // Sorts shard d's inbound frames canonically and schedules them into
-  // their destination racks, then recomputes the shard's min_next.
-  void RoutePhase(uint32_t d);
+  // Moves everything shard src sent shard dst — ring and overflow — into
+  // dst's staging buffer.
+  void Collect(uint32_t src, uint32_t dst);
+  void RefreshMinNext(uint32_t s);
+  // Fires every event of shard s's racks before the window end.
+  void RunShard(uint32_t s);
+  // Sorts shard d's staged frames canonically and schedules them into
+  // their destination racks, then refreshes min_next if the shard ran or
+  // received anything.
+  void RoutePhase(uint32_t d, bool ran);
+  // Reduces the shard minima into the next window; false when done.
+  bool ComputeWindow(int64_t limit_ns);
+  void InlineWindow(uint32_t s);
+  // One worker's share of a parallel window: run, barrier, route.
+  void ParallelWindow(uint32_t worker);
   void RunWindows(int64_t limit_ns);
-  void WorkerLoop(uint32_t worker, int64_t limit_ns);
-  // Barrier-B completion: reduce shard min_next values into the next
-  // window (or set done_).  Runs on exactly one thread, with all route
-  // phases happened-before it and it happened-before every unblock.
-  void ComputeWindow(int64_t limit_ns);
-
-  struct BarrierCompletion {
-    ShardedFleet* fleet;
-    void operator()() noexcept;
-  };
 
   Duration lookahead_;
   uint32_t num_shards_ = 1;
@@ -311,18 +325,15 @@ class ShardedFleet {
   std::vector<std::unique_ptr<SpscRing>> rings_;      // [src * S + dst]
   std::vector<std::vector<CrossShardFrame>> overflow_;  // [src * S + dst]
   std::unique_ptr<WorkerPool> pool_;
-  // Barrier A (run -> route) and barrier B (route -> next window); B's
-  // completion computes the next window.  Rebuilt per run call.
+  // Run -> route handoff inside a parallel window (null with one worker).
   std::unique_ptr<std::barrier<>> run_barrier_;
-  std::unique_ptr<std::barrier<BarrierCompletion>> route_barrier_;
-  int64_t limit_ns_ = 0;
+  std::function<void(uint32_t)> parallel_window_;
 
-  // Window state: written only by the barrier completion (one thread,
-  // between phases), read by all workers after the barrier — the barrier
-  // itself provides the happens-before edges.
+  // Window state: written only by the calling thread between windows and
+  // published to the workers by the pool dispatch (DESIGN.md §12).
   int64_t window_end_ns_ = 0;
-  bool done_ = false;
   uint64_t windows_ = 0;
+  uint64_t windows_inline_ = 0;
   uint64_t frames_routed_ = 0;
   uint64_t ring_spills_ = 0;
 };

@@ -372,6 +372,10 @@ class TaskGroup {
   Task WaitAll() {
     if (outstanding_ == 0) {
       done_.Set();
+    } else {
+      // Spawning may be spread over time (a churn phase between its
+      // delays); an earlier moment with nothing outstanding must not count.
+      done_.Reset();
     }
     return WaitFlow();
   }

@@ -153,6 +153,50 @@ TEST(EnclaveEdgeTest, SequentialTenantsReuseTheSameNode) {
   EXPECT_EQ(cloud.hil().FreeNodes().size(), 1u);
 }
 
+// A release issued while the node is still provisioning — at any point,
+// including during the iSCSI boot reads — waits for the provisioning to
+// settle instead of freeing the runtime (and the IscsiInitiator) that the
+// in-flight boot is still using.
+TEST(EnclaveEdgeTest, ReleaseDuringProvisioningWaitsForIt) {
+  sim::Duration provision_time;
+  {
+    Cloud cloud(TinyCloud(1));
+    Enclave tenant(cloud, "t", TrustProfile::Bob(), 7);
+    ProvisionOutcome outcome;
+    auto flow = [&]() -> Task {
+      co_await tenant.ProvisionNode("node-0", &outcome);
+      provision_time = cloud.sim().now() - sim::Time{};
+    };
+    cloud.sim().Spawn(flow());
+    cloud.sim().Run();
+    ASSERT_TRUE(outcome.success) << outcome.failure;
+  }
+  constexpr int kOffsets = 16;
+  for (int k = 1; k < kOffsets; ++k) {
+    SCOPED_TRACE(testing::Message() << "release at " << k << "/" << kOffsets);
+    Cloud cloud(TinyCloud(1));
+    Enclave tenant(cloud, "t", TrustProfile::Bob(), 7);
+    ProvisionOutcome outcome;
+    bool released = false;
+    auto provision = [&]() -> Task {
+      co_await tenant.ProvisionNode("node-0", &outcome);
+    };
+    auto release = [&]() -> Task {
+      co_await sim::Delay(cloud.sim(), provision_time.Scaled(
+                                           static_cast<double>(k) / kOffsets));
+      co_await tenant.ReleaseNode("node-0");
+      released = true;
+    };
+    cloud.sim().Spawn(provision());
+    cloud.sim().Spawn(release());
+    cloud.sim().Run();
+    EXPECT_TRUE(outcome.success) << outcome.failure;
+    EXPECT_TRUE(released);
+    EXPECT_EQ(tenant.node_state("node-0"), NodeState::kFree);
+    EXPECT_EQ(cloud.hil().FreeNodes().size(), 1u);
+  }
+}
+
 TEST(EnclaveEdgeTest, AirlockVlansAreCleanedUp) {
   Cloud cloud(TinyCloud(1));
   Enclave tenant(cloud, "t", TrustProfile::Bob(), 6);

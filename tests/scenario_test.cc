@@ -431,6 +431,31 @@ TEST(ScenarioRunnerTest, DigestIsSchedulerInvariant) {
   EXPECT_TRUE(wheel.final_states == reference.final_states);
 }
 
+// Regression: with Bob's classic iSCSI boot path under heavy churn, a
+// release used to free the node's IscsiInitiator while an RPC completion
+// could still resume IscsiInitiator::Fetch (heap-use-after-free; a plain
+// optimized build segfaulted on this exact spec).
+TEST(ScenarioRunnerTest, ChurnReleaseDuringIscsiFetchIsSafe) {
+  const char* text = R"(
+scenario iscsi_release_race
+seed 7
+duration 15m
+machines 64
+airlock_slots 8
+tenant bob bob 48
+arrival fixed 2s
+faults off
+phase churn 0s 15m hold=20s
+)";
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::Parse(text, &spec, &error)) << error;
+  const ScenarioResult result = RunScenario(spec);
+  EXPECT_TRUE(result.ok()) << result.failures.front();
+  EXPECT_GE(result.stats.churn_cycles, 1u);
+  EXPECT_EQ(result.final_states.size(), 48u);
+}
+
 // ---------------------------------------------------------------------------
 // Rack-sharded scenario model
 

@@ -255,6 +255,258 @@ TEST(SchedulerEquivalence, RandomizedOperationStreams) {
   }
 }
 
+// --- Peek equivalence --------------------------------------------------------
+//
+// The wheel answers PeekNextEventTime from a memo of its earliest instant
+// (DESIGN.md §10); these tests check it against the reference heap after
+// every single operation rather than only through the fire stream.
+
+bool PeekBoth(Simulation& wheel, Simulation& ref, const char* where) {
+  Time a;
+  Time b;
+  const bool has_a = wheel.PeekNextEventTime(&a);
+  const bool has_b = ref.PeekNextEventTime(&b);
+  EXPECT_EQ(has_a, has_b) << where;
+  if (has_a && has_b) {
+    EXPECT_EQ(a, b) << where;
+  }
+  EXPECT_EQ(wheel.pending_events(), ref.pending_events()) << where;
+  return has_a == has_b && (!has_a || a == b) &&
+         wheel.pending_events() == ref.pending_events();
+}
+
+TEST(SchedulerPeek, MemoFollowsScheduleAndCancel) {
+  Simulation wheel(SchedulerKind::kWheel, 12);
+  Simulation ref(SchedulerKind::kReference, 12);
+  auto both = [&](Duration delay) {
+    return std::pair{wheel.Schedule(delay, [] {}), ref.Schedule(delay, [] {})};
+  };
+  auto cancel = [&](const std::pair<EventId, EventId>& ids) {
+    wheel.Cancel(ids.first);
+    ref.Cancel(ids.second);
+  };
+  EXPECT_TRUE(PeekBoth(wheel, ref, "empty"));
+  const auto a = both(Duration::Nanoseconds(100));
+  const auto b = both(Duration::Nanoseconds(200));
+  const auto twin = both(Duration::Nanoseconds(200));
+  EXPECT_TRUE(PeekBoth(wheel, ref, "two pending"));
+  cancel(a);  // the earliest event
+  EXPECT_TRUE(PeekBoth(wheel, ref, "earliest cancelled"));
+  const auto c = both(Duration::Nanoseconds(50));  // below the memo
+  EXPECT_TRUE(PeekBoth(wheel, ref, "earlier than the memo"));
+  const auto far = both(Duration::Nanoseconds(2 * kWheelHorizonNs + 7));
+  const auto farther = both(Duration::Nanoseconds(3 * kWheelHorizonNs));
+  cancel(c);
+  cancel(b);  // an instant shared with `twin`
+  EXPECT_TRUE(PeekBoth(wheel, ref, "same-instant sibling cancelled"));
+  cancel(twin);
+  EXPECT_TRUE(PeekBoth(wheel, ref, "only spill left"));
+  cancel(far);  // the spill top
+  EXPECT_TRUE(PeekBoth(wheel, ref, "spill top cancelled"));
+  cancel(farther);
+  EXPECT_TRUE(PeekBoth(wheel, ref, "empty again"));
+  Time next;
+  EXPECT_FALSE(wheel.PeekNextEventTime(&next));
+}
+
+// One seeded operation stream replayed on both schedulers in lockstep:
+// schedule (including below the current minimum, at the current instant
+// and past the wheel horizon), cancel (the earliest event, spill entries,
+// stale ids) and advance (RunBefore / RunUntil slices, single steps),
+// comparing Peek after every operation and inside every fired callback.
+class PeekLockstep {
+ public:
+  explicit PeekLockstep(uint64_t seed)
+      : wheel_(SchedulerKind::kWheel, seed),
+        ref_(SchedulerKind::kReference, seed),
+        rng_(seed ^ 0x7065656bu) {}
+
+  void Run(int operations) {
+    for (int i = 0; i < operations; ++i) {
+      Operate();
+      if (!PeekBoth(wheel_.sim, ref_.sim, "after an operation")) {
+        ADD_FAILURE() << "peek diverged at operation " << i;
+        return;
+      }
+    }
+    wheel_.sim.Run();
+    ref_.sim.Run();
+    EXPECT_EQ(wheel_.fired, ref_.fired);
+    EXPECT_EQ(wheel_.inner_peeks, ref_.inner_peeks);
+    EXPECT_GT(wheel_.fired.size(), static_cast<size_t>(operations) / 4);
+  }
+
+ private:
+  struct Side {
+    Side(SchedulerKind kind, uint64_t seed) : sim(kind, seed) {}
+    Simulation sim;
+    std::vector<Fired> fired;
+    std::vector<int64_t> inner_peeks;  // -1: queue empty
+  };
+  struct Tracked {
+    EventId wheel_id;
+    EventId ref_id;
+    int64_t when_ns;
+    bool cancelled;
+  };
+
+  static constexpr uint64_t kChildTag = uint64_t{1} << 40;
+
+  // The callback: log, peek from inside the drain, and sometimes schedule
+  // a same-instant join or a one-nanosecond successor — decided by the tag,
+  // so both sides do the same thing.
+  static void Fire(Side& side, uint64_t tag, std::vector<uint8_t>* fired) {
+    side.fired.push_back(Fired{side.sim.now().nanoseconds(), tag});
+    if (fired != nullptr && tag < fired->size()) {
+      (*fired)[tag] = 1;
+    }
+    Time next;
+    side.inner_peeks.push_back(
+        side.sim.PeekNextEventTime(&next) ? next.nanoseconds() : -1);
+    if (tag >= kChildTag) {
+      return;
+    }
+    if (tag % 5 == 0) {
+      side.sim.Schedule(Duration::Zero(),
+                        [&side, tag] { Fire(side, tag | kChildTag, nullptr); });
+    } else if (tag % 7 == 0) {
+      side.sim.Schedule(Duration::Nanoseconds(1),
+                        [&side, tag] { Fire(side, tag | kChildTag, nullptr); });
+    }
+  }
+
+  int64_t Earliest() {
+    Time next;
+    return wheel_.sim.PeekNextEventTime(&next) ? next.nanoseconds() : -1;
+  }
+
+  void Schedule(Duration delay) {
+    const uint64_t tag = tracked_.size();
+    fired_.push_back(0);
+    const EventId w = wheel_.sim.Schedule(
+        delay, [this, tag] { Fire(wheel_, tag, &fired_); });
+    const EventId r =
+        ref_.sim.Schedule(delay, [this, tag] { Fire(ref_, tag, nullptr); });
+    tracked_.push_back(
+        Tracked{w, r, (wheel_.sim.now() + delay).nanoseconds(), false});
+  }
+
+  void Cancel(size_t index) {
+    Tracked& t = tracked_[index];
+    wheel_.sim.Cancel(t.wheel_id);
+    ref_.sim.Cancel(t.ref_id);
+    t.cancelled = true;
+  }
+
+  bool Live(size_t index) const {
+    return !tracked_[index].cancelled && fired_[index] == 0;
+  }
+
+  // A live tracked event matching `pred`, scanning from a random start.
+  template <typename Pred>
+  bool FindLive(Pred pred, size_t* index) {
+    if (tracked_.empty()) {
+      return false;
+    }
+    const size_t start = rng_.NextBelow(tracked_.size());
+    for (size_t k = 0; k < tracked_.size(); ++k) {
+      const size_t i = (start + k) % tracked_.size();
+      if (Live(i) && pred(tracked_[i])) {
+        *index = i;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Operate() {
+    const int64_t now = wheel_.sim.now().nanoseconds();
+    const int64_t earliest = Earliest();
+    size_t index = 0;
+    switch (rng_.NextBelow(12)) {
+      case 0:  // at the current instant: joins an exhausted drain batch
+        Schedule(Duration::Zero());
+        break;
+      case 1:
+        Schedule(Duration::Nanoseconds(
+            static_cast<int64_t>(1 + rng_.NextBelow(64))));
+        break;
+      case 2:
+        Schedule(Duration::Nanoseconds(
+            static_cast<int64_t>(rng_.NextBelow(uint64_t{1} << 30))));
+        break;
+      case 3:  // past the wheel horizon: the spill heap
+        Schedule(Duration::Nanoseconds(
+            kWheelHorizonNs +
+            static_cast<int64_t>(rng_.NextBelow(uint64_t{3} << 48))));
+        break;
+      case 4:  // strictly below the memoised minimum
+        if (earliest > now + 1) {
+          Schedule(Duration::Nanoseconds(static_cast<int64_t>(
+              1 + rng_.NextBelow(static_cast<uint64_t>(earliest - now - 1)))));
+        } else {
+          Schedule(Duration::Nanoseconds(3));
+        }
+        break;
+      case 5:  // the current earliest event
+        if (FindLive([&](const Tracked& t) { return t.when_ns == earliest; },
+                     &index)) {
+          Cancel(index);
+        }
+        break;
+      case 6:  // a spill entry
+        if (FindLive([&](const Tracked& t) {
+              return t.when_ns - now >= kWheelHorizonNs;
+            }, &index)) {
+          Cancel(index);
+        }
+        break;
+      case 7:  // any id: live, fired or already cancelled
+        if (!tracked_.empty()) {
+          Cancel(rng_.NextBelow(tracked_.size()));
+        }
+        break;
+      case 8:
+      case 9:
+        // A RunBefore slice ending at, just past, or well past the
+        // earliest instant.
+        if (earliest >= 0) {
+          const Time end = Time::FromNanoseconds(
+              earliest + static_cast<int64_t>(rng_.NextBelow(3) == 0
+                                                  ? 0
+                                                  : rng_.NextBelow(1u << 12)));
+          wheel_.sim.RunBefore(end);
+          ref_.sim.RunBefore(end);
+        }
+        break;
+      case 10: {
+        const Time horizon = Time::FromNanoseconds(
+            now + static_cast<int64_t>(rng_.NextBelow(1u << 16)));
+        wheel_.sim.RunUntil(horizon);
+        ref_.sim.RunUntil(horizon);
+        break;
+      }
+      default:
+        wheel_.sim.Step();
+        ref_.sim.Step();
+        break;
+    }
+  }
+
+  Side wheel_;
+  Side ref_;
+  Rng rng_;
+  std::vector<Tracked> tracked_;
+  std::vector<uint8_t> fired_;  // by tag, as seen on the wheel side
+};
+
+TEST(SchedulerPeek, MemoMatchesReferenceAfterEveryOperation) {
+  for (uint64_t seed = 200; seed < 206; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    PeekLockstep(seed).Run(6000);
+  }
+}
+
 TEST(SchedulerContract, EventIdsAreNeverZeroAndCancelIsIdempotent) {
   for (const SchedulerKind kind : {SchedulerKind::kWheel, SchedulerKind::kReference}) {
     Simulation sim(kind, 9);

@@ -11,6 +11,7 @@
 // Network uplink-ingress path.
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -242,6 +243,96 @@ TEST(ShardingDeterminism, RunUntilHorizonMatchesOracle) {
   EXPECT_LT(oracle.events, full.events);
 }
 
+// Sparse chain traffic plus one burst: a single token hops across the
+// racks (one shard due per window: inline windows), every rack keeps a
+// slow local timer, and at 2 ms every rack fans frames out at once
+// (several shards due: parallel windows).
+struct WindowModeResult {
+  FleetResult fleet;
+  uint64_t inline_windows = 0;
+};
+
+WindowModeResult RunSparseWithBurst(uint32_t shards, uint32_t workers) {
+  constexpr uint32_t kRacks = 16;
+  constexpr uint32_t kTokenKind = 1;
+  constexpr uint32_t kBurstKind = 2;
+  ShardOptions options;
+  options.racks = kRacks;
+  options.shards = shards;
+  options.workers = workers;
+  options.seed = 0x5ba75e;
+  ShardedFleet fleet(options);
+
+  fleet.set_frame_handler([&fleet](Rack& rack, const CrossShardFrame& frame) {
+    rack.sim().Schedule(Duration::Microseconds(1 + rack.index() % 4), [] {});
+    if (frame.kind != kTokenKind || frame.payload0 == 0) {
+      return;
+    }
+    const Duration delay =
+        fleet.lookahead() +
+        Duration::Microseconds(static_cast<int64_t>(rack.sim().rng().NextBelow(40)));
+    rack.Send((rack.index() + 5) % kRacks, delay, kTokenKind, 64,
+              frame.payload0 - 1);
+  });
+
+  fleet.rack(0).sim().Schedule(Duration::Microseconds(10), [&fleet] {
+    fleet.rack(0).Send(5, fleet.lookahead(), kTokenKind, 64, /*hops=*/120);
+  });
+  for (uint32_t r = 0; r < kRacks; ++r) {
+    Rack& rack = fleet.rack(r);
+    for (int tick = 0; tick < 8; ++tick) {
+      rack.sim().Schedule(
+          Duration::Microseconds(300 * tick + 7 * static_cast<int64_t>(r)), [] {});
+    }
+    rack.sim().Schedule(Duration::Milliseconds(2), [&fleet, &rack] {
+      for (int i = 0; i < 4; ++i) {
+        const auto dst = static_cast<uint32_t>(
+            (rack.index() + 1 + rack.sim().rng().NextBelow(kRacks - 1)) % kRacks);
+        rack.Send(dst, fleet.lookahead() + Duration::Microseconds(i), kBurstKind,
+                  256);
+      }
+    });
+  }
+  fleet.Run();
+
+  WindowModeResult result;
+  result.fleet.events = fleet.events_processed();
+  result.fleet.routed = fleet.frames_routed();
+  result.fleet.windows = fleet.windows();
+  result.fleet.fleet_digest = fleet.fleet_digest();
+  for (uint32_t r = 0; r < kRacks; ++r) {
+    result.fleet.rack_digests.push_back(fleet.rack_digest(r));
+  }
+  result.inline_windows = fleet.inline_windows();
+  return result;
+}
+
+TEST(ShardingWindows, InlineAndParallelWindowsKeepDigests) {
+  const WindowModeResult oracle = RunSparseWithBurst(1, 1);
+  EXPECT_GT(oracle.fleet.routed, 120u);
+  // One shard: every window has at most one shard due.
+  EXPECT_EQ(oracle.inline_windows, oracle.fleet.windows);
+  for (const uint32_t shards : {2u, 4u, 8u}) {
+    uint64_t inline_windows = 0;
+    for (uint32_t workers = 1; workers <= shards; workers *= 2) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards " << shards << " workers " << workers);
+      const WindowModeResult got = RunSparseWithBurst(shards, workers);
+      ExpectSameStream(oracle.fleet, got.fleet, "window modes");
+      EXPECT_EQ(got.fleet.windows, oracle.fleet.windows);
+      // Both modes occur: the token alone runs inline, the burst cannot.
+      EXPECT_GT(got.inline_windows, 0u);
+      EXPECT_LT(got.inline_windows, got.fleet.windows);
+      // Which windows run inline depends on the partition, not on the
+      // number of threads executing it.
+      if (workers == 1) {
+        inline_windows = got.inline_windows;
+      }
+      EXPECT_EQ(got.inline_windows, inline_windows);
+    }
+  }
+}
+
 TEST(Sharding, SendBelowLookaheadDies) {
   ShardOptions options;
   options.racks = 2;
@@ -288,6 +379,25 @@ TEST(WorkerPoolTest, RunOnAllCoversEveryIndexAndIsReusable) {
   }
   for (uint32_t t = 0; t < 4; ++t) {
     EXPECT_EQ(hits[t].load(), 3u) << "worker " << t;
+  }
+}
+
+// Dispatch and join must order plain memory both ways, every round: the
+// job reads what the caller wrote before RunOnAll, and the caller reads
+// what every worker wrote before RunOnAll returned (the TSan leg runs
+// this as the pool's stress test).
+TEST(WorkerPoolTest, DispatchAndJoinPublishPlainWrites) {
+  WorkerPool pool(4);
+  uint64_t round = 0;
+  std::vector<uint64_t> seen(4, 0);
+  const std::function<void(uint32_t)> job = [&round, &seen](uint32_t t) {
+    seen[t] = round * 10 + t;
+  };
+  for (round = 1; round <= 2000; ++round) {
+    pool.RunOnAll(job);
+    for (uint32_t t = 0; t < 4; ++t) {
+      ASSERT_EQ(seen[t], round * 10 + t) << "round " << round;
+    }
   }
 }
 

@@ -464,6 +464,31 @@ TEST(TaskTest, TaskGroupWaitsForAll) {
   EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 5.0);
 }
 
+// Spawns spread over time: the group drains to zero between the first
+// task and the next spawn, and WaitAll must still wait for the later one.
+TEST(TaskTest, TaskGroupWaitsForTasksSpawnedAfterItDrained) {
+  Simulation sim;
+  int done = 0;
+  bool waited = false;
+  auto run = [&]() -> Task {
+    TaskGroup group(sim);
+    auto worker = [&](int seconds) -> Task {
+      co_await Delay(sim, Duration::Seconds(seconds));
+      ++done;
+    };
+    group.Spawn(worker(1));
+    co_await Delay(sim, Duration::Seconds(2));  // the first one finished
+    group.Spawn(worker(4));
+    co_await group.WaitAll();
+    EXPECT_EQ(done, 2);
+    EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 6.0);
+    waited = true;
+  };
+  sim.Spawn(run());
+  sim.Run();
+  EXPECT_TRUE(waited);
+}
+
 TEST(TaskTest, DeterministicAcrossRuns) {
   auto run_once = [](uint64_t seed) {
     Simulation sim(seed);
