@@ -714,10 +714,12 @@ sim::Task Enclave::ReleaseNode(const std::string& node, bool keep_snapshot) {
   std::erase(members_, node);
   RefreshVerifierPeers();
   // HIL detach: off every network, power-cycled (which also marks memory
-  // dirty; LinuxBoot scrubs before the next occupant).
+  // dirty; LinuxBoot scrubs before the next occupant).  The node is free
+  // from here on, so the runtime goes now: a ProvisionNode started during
+  // the switch delay must get a fresh entry that this release never sees.
   cloud_.hil().DetachNode(project_, node);
-  co_await sim::Delay(cloud_.sim(), cloud_.cal().switch_reconfig_time);
   nodes_.erase(it);
+  co_await sim::Delay(cloud_.sim(), cloud_.cal().switch_reconfig_time);
 }
 
 bool Enclave::ExecuteBinary(const std::string& node, const std::string& path,

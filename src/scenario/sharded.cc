@@ -508,7 +508,6 @@ ShardedScenarioResult Model::Run() {
   result.frames_routed = fleet.frames_routed();
   result.windows = fleet.windows();
   result.windows_inline = fleet.inline_windows();
-  result.spills = fleet.ring_spills();
 
   for (uint32_t r = 0; r < config_.racks; ++r) {
     RackModel& model = racks_[r];

@@ -97,7 +97,6 @@ struct ShardedScenarioResult {
   // Windows run on the calling thread (at most one shard due); see
   // sim::ShardedFleet::inline_windows().
   uint64_t windows_inline = 0;
-  uint64_t spills = 0;
   int64_t final_time_ns = 0;
 
   uint64_t provisions = 0;

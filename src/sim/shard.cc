@@ -33,17 +33,6 @@ uint64_t MixDigest(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint32_t CeilPow2(uint32_t v) {
-  if (v < 2) {
-    return 2;
-  }
-  uint32_t p = 2;
-  while (p < v && p < (1u << 30)) {
-    p <<= 1;
-  }
-  return p;
-}
-
 // Canonical inbound order: delivery instant, then source rack, then the
 // source's send counter.  Total (no two frames compare equal), so the
 // destination's seq assignment is independent of which shard or worker
@@ -64,14 +53,6 @@ bool CanonicalLess(const CrossShardFrame& a, const CrossShardFrame& b) {
 }
 
 }  // namespace
-
-// --- SpscRing ---------------------------------------------------------------
-
-SpscRing::SpscRing(uint32_t capacity) {
-  const uint32_t cap = CeilPow2(capacity);
-  slots_.resize(cap);
-  mask_ = cap - 1;
-}
 
 // --- WorkerPool -------------------------------------------------------------
 
@@ -170,7 +151,7 @@ void Rack::Send(uint32_t dst_rack, Duration delay, uint32_t kind,
   frame.kind = kind;
   frame.bytes = bytes;
   frame.src_seq = send_seq_++;
-  fleet_->Submit(shard_, frame);
+  fleet_->outbox(shard_, fleet_->racks_[dst_rack]->shard_).push_back(frame);
 }
 
 // --- ShardedFleet -----------------------------------------------------------
@@ -201,11 +182,7 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
     racks_.push_back(std::move(rack));
   }
 
-  rings_.reserve(static_cast<size_t>(num_shards_) * num_shards_);
-  overflow_.resize(static_cast<size_t>(num_shards_) * num_shards_);
-  for (uint32_t i = 0; i < num_shards_ * num_shards_; ++i) {
-    rings_.push_back(std::make_unique<SpscRing>(options.ring_capacity));
-  }
+  outboxes_.resize(static_cast<size_t>(num_shards_) * num_shards_);
 
   pool_ = std::make_unique<WorkerPool>(num_workers_, options.pin_workers);
   if (num_workers_ > 1) {
@@ -215,37 +192,6 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
 }
 
 ShardedFleet::~ShardedFleet() = default;
-
-void ShardedFleet::Submit(uint32_t src_shard, const CrossShardFrame& frame) {
-  const uint32_t dst_shard = racks_[frame.dst_rack]->shard_;
-  if (!ring(src_shard, dst_shard).TryPush(frame)) {
-    // Out of credits: simulations may never drop or block, so spill to
-    // the producer-owned backstop the router drains after the run phase.
-    overflow(src_shard, dst_shard).push_back(frame);
-    ++shards_[src_shard].spills;
-  }
-}
-
-void ShardedFleet::DrainInbound(uint32_t d) {
-  ShardState& st = shards_[d];
-  CrossShardFrame frame;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    while (ring(s, d).TryPop(&frame)) {
-      st.staged.push_back(frame);
-    }
-  }
-}
-
-void ShardedFleet::Collect(uint32_t src, uint32_t dst) {
-  ShardState& st = shards_[dst];
-  CrossShardFrame frame;
-  while (ring(src, dst).TryPop(&frame)) {
-    st.staged.push_back(frame);
-  }
-  std::vector<CrossShardFrame>& spill = overflow(src, dst);
-  st.staged.insert(st.staged.end(), spill.begin(), spill.end());
-  spill.clear();
-}
 
 void ShardedFleet::RefreshMinNext(uint32_t s) {
   ShardState& st = shards_[s];
@@ -268,8 +214,12 @@ void ShardedFleet::RunShard(uint32_t s) {
 
 void ShardedFleet::RoutePhase(uint32_t d, bool ran) {
   ShardState& st = shards_[d];
-  if (!st.staged.empty()) {
-    st.route_buf.swap(st.staged);
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    std::vector<CrossShardFrame>& box = outbox(s, d);
+    st.route_buf.insert(st.route_buf.end(), box.begin(), box.end());
+    box.clear();
+  }
+  if (!st.route_buf.empty()) {
     std::sort(st.route_buf.begin(), st.route_buf.end(), CanonicalLess);
     for (const CrossShardFrame& frame : st.route_buf) {
       if (frame.deliver_ns < window_end_ns_) {
@@ -310,7 +260,7 @@ bool ShardedFleet::ComputeWindow(int64_t limit_ns) {
   }
   if (min_next == kNoEvent || min_next > limit_ns) {
     // Every rack idle (or idle up to the horizon) and — since every
-    // window's routing fully drains the channels — no frame in flight.
+    // window's routing empties the outboxes — no frame in flight.
     return false;
   }
   // The conservative window: everything strictly before min_next + L is
@@ -328,10 +278,7 @@ bool ShardedFleet::ComputeWindow(int64_t limit_ns) {
 
 void ShardedFleet::InlineWindow(uint32_t s) {
   RunShard(s);
-  // Every channel was empty when the window began, so the only frames in
-  // flight are the ones shard s just sent.
   for (uint32_t d = 0; d < num_shards_; ++d) {
-    Collect(s, d);
     RoutePhase(d, d == s);
   }
 }
@@ -341,20 +288,13 @@ void ShardedFleet::ParallelWindow(uint32_t worker) {
     if (shards_[s].due) {
       RunShard(s);
     }
-    // Opportunistic drain: return ring credits while other shards are
-    // still executing; the frames just wait in staging for the router.
-    DrainInbound(s);
   }
+  // Route: the barrier made every outbox append visible, and the senders
+  // are quiesced until the next dispatch.
   if (run_barrier_ != nullptr) {
     run_barrier_->arrive_and_wait();
   }
-  // Route: the barrier made every push visible, and the producers are
-  // quiesced until the next dispatch, so their overflow vectors are safe
-  // to drain too.
   for (uint32_t d = worker; d < num_shards_; d += num_workers_) {
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      Collect(s, d);
-    }
     RoutePhase(d, shards_[d].due);
   }
 }
@@ -385,10 +325,8 @@ void ShardedFleet::RunWindows(int64_t limit_ns) {
   }
 
   frames_routed_ = 0;
-  ring_spills_ = 0;
   for (const ShardState& st : shards_) {
     frames_routed_ += st.routed;
-    ring_spills_ += st.spills;
   }
 }
 

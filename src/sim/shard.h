@@ -20,7 +20,7 @@
 // because any cross-rack frame generated inside the window is sent at
 // some t >= min_next with delay >= L, hence delivered at >= window_end —
 // it cannot affect the window being executed.  After the run phase the
-// router drains every shard-pair channel, sorts each destination rack's
+// router gathers every shard-pair outbox, sorts each destination rack's
 // inbound frames into the canonical (deliver_ns, src_rack, src_seq)
 // order, and schedules them; destination-side seq assignment is therefore
 // identical no matter which shard or worker produced the frames.
@@ -32,21 +32,19 @@
 // more due shards go to the pool (run, one barrier, route).  The window
 // sequence is the same either way, and so is every rack's event stream.
 //
-// Cross-shard transport is a netmux-style mesh of single-producer /
-// single-consumer ring channels (one per shard pair) with credit-based
-// flow control in the firedancer fctl idiom: the producer spends cached
-// credits, refreshes them from the consumer's published head when they
-// run out, and — since a simulation must never drop or block — spills to
-// a producer-owned overflow vector that the router drains at the next
-// route (counted, so benches can size the rings to make spills rare).
-// Consumers also drain opportunistically during the run phase, returning
-// credits while producers are still executing.
+// Cross-shard transport is one plain vector outbox per (source shard,
+// destination shard): Rack::Send appends to its shard's outbox for the
+// destination, and the destination's route phase gathers every outbox
+// addressed to it.  No frame is read before the window that sent it has
+// finished running, so the outboxes need no synchronization of their own.
 //
-// Thread discipline: within a parallel window a rack is only touched by
-// the worker that owns its shard, and the run/route phases are separated
-// by a barrier; inline windows run entirely on the calling thread, and the
-// pool's dispatch and join order them against the parallel ones — so rack
-// Simulations need no locks.  The frame handler runs on whichever thread
+// Thread discipline: within a parallel window a rack — and the outboxes of
+// its shard — is only written by the worker that owns the shard, and the
+// run/route phases are separated by a barrier, after which each outbox is
+// read only by the worker routing its destination; inline windows run
+// entirely on the calling thread, and the pool's dispatch and join order
+// them against the parallel ones — so neither rack Simulations nor
+// outboxes need locks.  The frame handler runs on whichever thread
 // executes the destination rack's window and must confine itself to the
 // rack passed to it.
 
@@ -68,8 +66,8 @@ namespace bolted::sim {
 
 class ShardedFleet;
 
-// One cross-rack frame.  POD by design: frames travel through shared
-// rings between threads, so they carry plain words, not closures — the
+// One cross-rack frame.  POD by design: frames are handed between threads
+// through the outboxes, so they carry plain words, not closures — the
 // destination rack's frame handler interprets kind/payload.  `bytes` is
 // the modeled wire size (accounting only; the latency is the send delay).
 struct CrossShardFrame {
@@ -83,57 +81,6 @@ struct CrossShardFrame {
   // Per-source-rack send counter; the third key of the canonical inbound
   // sort, so two frames from one rack can never tie.
   uint64_t src_seq = 0;
-};
-
-// Lock-free single-producer / single-consumer ring of CrossShardFrames.
-// Indices are free-running uint64s; head_ (consumer) and tail_ (producer)
-// live on their own cache lines, and each side works against a cached
-// copy of the other's index — the fctl credit pattern: TryPush only loads
-// head_ when its cached credits run out.
-class SpscRing {
- public:
-  explicit SpscRing(uint32_t capacity);
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  uint32_t capacity() const { return mask_ + 1; }
-
-  // Producer side.  False when the ring is full even after refreshing
-  // credits (the caller spills to its overflow vector).
-  bool TryPush(const CrossShardFrame& frame) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) {
-        return false;  // out of credits
-      }
-    }
-    slots_[tail & mask_] = frame;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer side.  False when the ring is empty.
-  bool TryPop(CrossShardFrame* out) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) {
-        return false;
-      }
-    }
-    *out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
- private:
-  std::vector<CrossShardFrame> slots_;
-  uint32_t mask_ = 0;
-  alignas(64) std::atomic<uint64_t> head_{0};  // consumer cursor
-  alignas(64) uint64_t cached_tail_ = 0;       // consumer's view of tail_
-  alignas(64) std::atomic<uint64_t> tail_{0};  // producer cursor
-  alignas(64) uint64_t cached_head_ = 0;       // producer's credit base
 };
 
 // Persistent team of worker threads.  Thread 0 is the calling thread, so
@@ -176,7 +123,7 @@ class WorkerPool {
 
 struct ShardOptions {
   uint32_t racks = 1;
-  // Rack partitions (the ring-channel topology).  Rack r belongs to the
+  // Rack partitions (the outbox topology).  Rack r belongs to the
   // shard owning the contiguous stripe containing r.  Clamped to racks.
   uint32_t shards = 1;
   // Worker threads executing shards (shard s runs on worker s % workers).
@@ -186,9 +133,6 @@ struct ShardOptions {
   // Rack::Send delay must be >= lookahead (checked fatally).
   Duration lookahead = Duration::Microseconds(50);
   uint64_t seed = 0x626f6c746564u;
-  // Per shard-pair ring capacity in frames (rounded up to a power of
-  // two).  Overflow spills — counted, never dropped.
-  uint32_t ring_capacity = 4096;
   bool pin_workers = false;
   SchedulerKind scheduler = SchedulerKind::kDefault;
 };
@@ -253,8 +197,9 @@ class ShardedFleet {
   // --- Aggregate statistics (valid between runs) ---------------------------
   uint64_t events_processed() const;
   uint64_t frames_routed() const { return frames_routed_; }
-  // Ring pushes that found no credit and took the overflow path.
-  uint64_t ring_spills() const { return ring_spills_; }
+  // Always 0: outboxes grow instead of spilling.  Kept for the readers of
+  // the former ring-overflow counter.
+  uint64_t ring_spills() const { return 0; }
   // Conservative windows executed.
   uint64_t windows() const { return windows_; }
   // Windows in which at most one shard had an event due, run on the
@@ -275,9 +220,7 @@ class ShardedFleet {
 
   struct ShardState {
     std::vector<uint32_t> racks;  // rack indices owned by this shard
-    // Inbound frames staged by opportunistic drains during the run phase;
-    // merged with the route-time drain and sorted canonically.
-    std::vector<CrossShardFrame> staged;
+    // Inbound frames gathered from the outboxes and sorted canonically.
     std::vector<CrossShardFrame> route_buf;
     // Earliest pending event over this shard's racks (ns; INT64_MAX when
     // idle), refreshed whenever the shard ran or received frames.
@@ -285,29 +228,18 @@ class ShardedFleet {
     // min_next < the current window end: the shard has work this window.
     bool due = false;
     uint64_t routed = 0;
-    uint64_t spills = 0;
   };
 
-  SpscRing& ring(uint32_t src_shard, uint32_t dst_shard) {
-    return *rings_[src_shard * num_shards_ + dst_shard];
-  }
-  std::vector<CrossShardFrame>& overflow(uint32_t src, uint32_t dst) {
-    return overflow_[src * num_shards_ + dst];
+  std::vector<CrossShardFrame>& outbox(uint32_t src, uint32_t dst) {
+    return outboxes_[src * num_shards_ + dst];
   }
 
-  void Submit(uint32_t src_shard, const CrossShardFrame& frame);
-  // Drains rings destined to shard d into its staging buffer during the
-  // run phase, returning credits early.
-  void DrainInbound(uint32_t d);
-  // Moves everything shard src sent shard dst — ring and overflow — into
-  // dst's staging buffer.
-  void Collect(uint32_t src, uint32_t dst);
   void RefreshMinNext(uint32_t s);
   // Fires every event of shard s's racks before the window end.
   void RunShard(uint32_t s);
-  // Sorts shard d's staged frames canonically and schedules them into
-  // their destination racks, then refreshes min_next if the shard ran or
-  // received anything.
+  // Gathers every outbox addressed to shard d, sorts the frames
+  // canonically and schedules them into their destination racks, then
+  // refreshes min_next if the shard ran or received anything.
   void RoutePhase(uint32_t d, bool ran);
   // Reduces the shard minima into the next window; false when done.
   bool ComputeWindow(int64_t limit_ns);
@@ -322,8 +254,7 @@ class ShardedFleet {
   FrameHandler handler_;
   std::vector<std::unique_ptr<Rack>> racks_;
   std::vector<ShardState> shards_;
-  std::vector<std::unique_ptr<SpscRing>> rings_;      // [src * S + dst]
-  std::vector<std::vector<CrossShardFrame>> overflow_;  // [src * S + dst]
+  std::vector<std::vector<CrossShardFrame>> outboxes_;  // [src * S + dst]
   std::unique_ptr<WorkerPool> pool_;
   // Run -> route handoff inside a parallel window (null with one worker).
   std::unique_ptr<std::barrier<>> run_barrier_;
@@ -335,7 +266,6 @@ class ShardedFleet {
   uint64_t windows_ = 0;
   uint64_t windows_inline_ = 0;
   uint64_t frames_routed_ = 0;
-  uint64_t ring_spills_ = 0;
 };
 
 }  // namespace bolted::sim

@@ -197,6 +197,40 @@ TEST(EnclaveEdgeTest, ReleaseDuringProvisioningWaitsForIt) {
   }
 }
 
+// A provisioning started while a release of the same node is still in its
+// switch-reconfiguration delay builds a fresh runtime, and the release
+// finishing afterwards leaves that runtime alone.
+TEST(EnclaveEdgeTest, ProvisionDuringReleaseDelayGetsAFreshRuntime) {
+  Cloud cloud(TinyCloud(1));
+  Enclave tenant(cloud, "t", TrustProfile::Bob(), 7);
+  ProvisionOutcome first;
+  auto provision_first = [&]() -> Task {
+    co_await tenant.ProvisionNode("node-0", &first);
+  };
+  cloud.sim().Spawn(provision_first());
+  cloud.sim().Run();
+  ASSERT_TRUE(first.success) << first.failure;
+  ASSERT_GT(cloud.cal().switch_reconfig_time, sim::Duration::Milliseconds(1));
+
+  ProvisionOutcome second;
+  bool released = false;
+  auto release = [&]() -> Task {
+    co_await tenant.ReleaseNode("node-0");
+    released = true;
+  };
+  auto reprovision = [&]() -> Task {
+    co_await sim::Delay(cloud.sim(), sim::Duration::Milliseconds(1));
+    co_await tenant.ProvisionNode("node-0", &second);
+  };
+  cloud.sim().Spawn(release());
+  cloud.sim().Spawn(reprovision());
+  cloud.sim().Run();
+  EXPECT_TRUE(released);
+  EXPECT_TRUE(second.success) << second.failure;
+  EXPECT_EQ(tenant.node_state("node-0"), NodeState::kAllocated);
+  EXPECT_TRUE(cloud.hil().FreeNodes().empty());
+}
+
 TEST(EnclaveEdgeTest, AirlockVlansAreCleanedUp) {
   Cloud cloud(TinyCloud(1));
   Enclave tenant(cloud, "t", TrustProfile::Bob(), 6);

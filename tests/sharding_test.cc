@@ -4,11 +4,11 @@
 // on the rack-sharded runtime must produce byte-identical per-rack trace
 // digests for EVERY (shards, workers) configuration, with the
 // shards=1/workers=1 single-threaded path as the oracle.  The suite
-// exercises that invariant across seeds, ring-overflow pressure,
+// exercises that invariant across seeds, single-window send bursts,
 // lookahead settings, partial horizons, and a full per-rack-Network
-// integration scenario, plus the supporting pieces: the SPSC ring, the
-// worker pool, fault-plan partitioning, merged metric export, and the
-// Network uplink-ingress path.
+// integration scenario, plus the supporting pieces: the worker pool,
+// fault-plan partitioning, merged metric export, and the Network
+// uplink-ingress path.
 
 #include <cstdint>
 #include <functional>
@@ -27,13 +27,11 @@
 namespace bolted::sim {
 namespace {
 
-// Everything a determinism comparison cares about.  Spills are excluded
-// on purpose: they depend on ring capacity, not on the event stream.
+// Everything a determinism comparison cares about.
 struct FleetResult {
   uint64_t events = 0;
   uint64_t routed = 0;
   uint64_t windows = 0;
-  uint64_t spills = 0;
   uint64_t fleet_digest = 0;
   std::vector<uint64_t> rack_digests;
 };
@@ -46,7 +44,7 @@ constexpr uint32_t kChainKind = 7;
 // until the hop budget runs out.  Exercises all shard pairs, uneven
 // per-window load, and data-dependent delivery times.
 FleetResult RunChainScenario(uint32_t racks, uint32_t shards, uint32_t workers,
-                             uint64_t seed, uint32_t ring_capacity = 4096,
+                             uint64_t seed,
                              Duration lookahead = Duration::Microseconds(50),
                              int64_t horizon_ns = -1) {
   ShardOptions options;
@@ -54,7 +52,6 @@ FleetResult RunChainScenario(uint32_t racks, uint32_t shards, uint32_t workers,
   options.shards = shards;
   options.workers = workers;
   options.seed = seed;
-  options.ring_capacity = ring_capacity;
   options.lookahead = lookahead;
   ShardedFleet fleet(options);
 
@@ -97,7 +94,6 @@ FleetResult RunChainScenario(uint32_t racks, uint32_t shards, uint32_t workers,
   result.events = fleet.events_processed();
   result.routed = fleet.frames_routed();
   result.windows = fleet.windows();
-  result.spills = fleet.ring_spills();
   result.fleet_digest = fleet.fleet_digest();
   for (uint32_t r = 0; r < racks; ++r) {
     result.rack_digests.push_back(fleet.rack_digest(r));
@@ -140,18 +136,18 @@ TEST(ShardingDeterminism, DistinctSeedsProduceDistinctDigests) {
   EXPECT_NE(a.fleet_digest, b.fleet_digest);
 }
 
-TEST(ShardingDeterminism, RingOverflowPreservesDigests) {
+TEST(ShardingDeterminism, BurstInOneWindowPreservesDigests) {
   // Burst scenario: each rack fires 32 frames at its neighbour in one
-  // window.  A 1-slot ring cannot hold that, so the credit path runs dry
-  // and frames take the overflow backstop — which must be invisible to
-  // the event stream.
-  auto run = [](uint32_t shards, uint32_t workers, uint32_t ring_capacity) {
+  // window, with delays that put them out of delivery order, so each
+  // route phase gathers a large unsorted batch, split across outboxes
+  // differently at every shard count.  The canonical sort alone must make
+  // the event stream independent of that split.
+  auto run = [](uint32_t shards, uint32_t workers) {
     ShardOptions options;
     options.racks = 8;
     options.shards = shards;
     options.workers = workers;
     options.seed = 99;
-    options.ring_capacity = ring_capacity;
     ShardedFleet fleet(options);
     fleet.set_frame_handler([](Rack& rack, const CrossShardFrame&) {
       rack.sim().Schedule(Duration::Microseconds(1), [] {});
@@ -170,7 +166,6 @@ TEST(ShardingDeterminism, RingOverflowPreservesDigests) {
     result.events = fleet.events_processed();
     result.routed = fleet.frames_routed();
     result.windows = fleet.windows();
-    result.spills = fleet.ring_spills();
     result.fleet_digest = fleet.fleet_digest();
     for (uint32_t r = 0; r < 8; ++r) {
       result.rack_digests.push_back(fleet.rack_digest(r));
@@ -178,15 +173,10 @@ TEST(ShardingDeterminism, RingOverflowPreservesDigests) {
     return result;
   };
 
-  const FleetResult oracle = run(1, 1, 4096);
+  const FleetResult oracle = run(1, 1);
   EXPECT_EQ(oracle.routed, 8u * 32u);
-  const FleetResult tiny = run(4, 4, /*ring_capacity=*/1);
-  EXPECT_GT(tiny.spills, 0u);
-  ExpectSameStream(oracle, tiny, "tiny rings");
-
-  const FleetResult roomy = run(4, 4, 4096);
-  EXPECT_EQ(roomy.spills, 0u);
-  ExpectSameStream(oracle, roomy, "roomy rings");
+  ExpectSameStream(oracle, run(4, 4), "4 shards x 4 workers");
+  ExpectSameStream(oracle, run(8, 3), "8 shards x 3 workers");
 }
 
 TEST(ShardingDeterminism, LookaheadAffectsWindowsNotDigests) {
@@ -234,9 +224,9 @@ TEST(ShardingDeterminism, LookaheadAffectsWindowsNotDigests) {
 TEST(ShardingDeterminism, RunUntilHorizonMatchesOracle) {
   const int64_t horizon = 200'000;  // mid-chain: frames still in flight
   const FleetResult oracle =
-      RunChainScenario(8, 1, 1, 5, 4096, Duration::Microseconds(50), horizon);
+      RunChainScenario(8, 1, 1, 5, Duration::Microseconds(50), horizon);
   const FleetResult sharded =
-      RunChainScenario(8, 4, 2, 5, 4096, Duration::Microseconds(50), horizon);
+      RunChainScenario(8, 4, 2, 5, Duration::Microseconds(50), horizon);
   ExpectSameStream(oracle, sharded, "partial horizon");
 
   const FleetResult full = RunChainScenario(8, 1, 1, 5);
@@ -344,30 +334,6 @@ TEST(Sharding, SendBelowLookaheadDies) {
     rack.Send(1, Duration::Microseconds(10), 1, 8);
   });
   EXPECT_DEATH(fleet.Run(), "lookahead");
-}
-
-TEST(SpscRing, CapacityRoundsUpAndRefusesWhenFull) {
-  SpscRing ring(3);
-  EXPECT_EQ(ring.capacity(), 4u);
-  CrossShardFrame frame;
-  for (uint64_t i = 0; i < 4; ++i) {
-    frame.src_seq = i;
-    EXPECT_TRUE(ring.TryPush(frame));
-  }
-  frame.src_seq = 99;
-  EXPECT_FALSE(ring.TryPush(frame));  // out of credits, even after refresh
-
-  CrossShardFrame out;
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out.src_seq, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
-
-  // Credits return after the consumer advances.
-  EXPECT_TRUE(ring.TryPush(frame));
-  ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out.src_seq, 99u);
 }
 
 TEST(WorkerPoolTest, RunOnAllCoversEveryIndexAndIsReusable) {
