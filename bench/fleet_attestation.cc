@@ -12,15 +12,20 @@
 // verify signatures through the batched multi-scalar path
 // (Verifier::VerifyFleet).  A final sweep re-times single rounds across
 // batch sizes and worker counts, plus the legacy per-node VerifyNode path
-// for an honest old-vs-new row.
+// for an honest old-vs-new row.  Every row also reports the verifier's
+// host-side pipeline telemetry: batches a pool thread verified while the
+// round ran, batches the simulation thread verified at the join, and the
+// time it then waited for the pool.
 //
 // Usage: fleet_attestation [output-path] [--nodes=N] [--rounds=N]
 //                          [--batch=N] [--workers=N] [--no-sweep]
 //                          [--trace=out.json]
-//   (default output: BENCH_attestation.json, default fleet 4096; --trace
-//    additionally exports a chrome://tracing JSON of the whole run.
-//    Tracing adds bookkeeping to the timed path, so compare wall numbers
-//    only between untraced runs.)
+//   (default output: BENCH_attestation.json, default fleet 4096; batch
+//    and workers default to Verifier::FleetOptions, where --workers=0
+//    means one per hardware thread; --trace additionally
+//    exports a chrome://tracing JSON of the whole run.  Tracing adds
+//    bookkeeping to the timed path, so compare wall numbers only between
+//    untraced runs.)
 
 #include <chrono>
 #include <thread>
@@ -49,6 +54,27 @@ double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+// The verifier's cumulative pipeline counters; rows report differences.
+struct Pipeline {
+  uint64_t offloaded = 0;
+  uint64_t drained = 0;
+  uint64_t join_wait_ns = 0;
+
+  static Pipeline Read(const bolted::keylime::Verifier& v) {
+    return {v.fleet_batches_offloaded(), v.fleet_batches_drained(),
+            v.fleet_join_wait_ns()};
+  }
+  Pipeline operator-(const Pipeline& o) const {
+    return {offloaded - o.offloaded, drained - o.drained,
+            join_wait_ns - o.join_wait_ns};
+  }
+};
+
+// "auto" for workers = 0 (one per hardware thread).
+std::string WorkersLabel(int workers) {
+  return workers == 0 ? "auto" : std::to_string(workers);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,8 +83,8 @@ int main(int argc, char** argv) {
   const char* trace_path = nullptr;
   int fleet_size = kDefaultFleetSize;
   int steady_rounds = kDefaultSteadyRounds;
-  int batch_size = 64;
-  int workers = 1;
+  int batch_size = keylime::Verifier::FleetOptions{}.batch_size;
+  int workers = keylime::Verifier::FleetOptions{}.workers;
   bool sweep = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0 && argv[i][8] != '\0') {
@@ -77,8 +103,9 @@ int main(int argc, char** argv) {
       out_path = argv[i];
     }
   }
-  if (fleet_size <= 0 || steady_rounds <= 0 || batch_size <= 0 || workers <= 0) {
-    std::fprintf(stderr, "--nodes/--rounds/--batch/--workers must be positive\n");
+  if (fleet_size <= 0 || steady_rounds <= 0 || batch_size <= 0 || workers < 0) {
+    std::fprintf(stderr,
+                 "--nodes/--rounds/--batch must be positive, --workers >= 0\n");
     return 2;
   }
   const int kFleetSize = fleet_size;
@@ -192,6 +219,7 @@ int main(int argc, char** argv) {
   double steady_total_ms = 0;
   double steady_max_ms = 0;
   const uint64_t steady_events_start = sim.events_processed();
+  const Pipeline steady_pipeline_start = Pipeline::Read(verifier);
   for (int r = 0; r < steady_rounds; ++r) {
     const double ms = poll_round();
     steady_total_ms += ms;
@@ -200,6 +228,7 @@ int main(int argc, char** argv) {
     }
   }
   const uint64_t steady_events = sim.events_processed() - steady_events_start;
+  const Pipeline steady_pipeline = Pipeline::Read(verifier) - steady_pipeline_start;
   if (!check_round("attestation")) {
     return 1;
   }
@@ -220,29 +249,32 @@ int main(int argc, char** argv) {
     int batch;
     int workers;
     double ms;
+    Pipeline pipeline;
   };
   std::vector<SweepRow> sweep_rows;
+  auto sweep_round = [&](int b, int w) -> bool {
+    verifier.SetFleetOptions({.workers = w, .batch_size = b});
+    const Pipeline before = Pipeline::Read(verifier);
+    const double ms = poll_round();
+    sweep_rows.push_back({b, w, ms, Pipeline::Read(verifier) - before});
+    return check_round("sweep round");
+  };
   if (sweep) {
     const int batches[] = {1, 8, 16, 32, 64, 128};
     for (const int b : batches) {
-      verifier.SetFleetOptions({.workers = 1, .batch_size = b});
-      const double ms = poll_round();
-      if (!check_round("sweep round")) {
+      if (!sweep_round(b, 1)) {
         return 1;
       }
-      sweep_rows.push_back({b, 1, ms});
     }
-    // Worker rounds run the signature shards on the persistent
-    // sim::WorkerPool (real shard cores when the host has them; on a
-    // single-core host the rows measure pool overhead honestly).
-    const int worker_counts[] = {2, 4, 8};
+    // Worker rounds verify sealed batches on the persistent, unpinned
+    // sim::WorkerPool while the round runs (real cores when the host has
+    // them; on a single-core host the rows measure pool overhead
+    // honestly).  0 is the default: one worker per hardware thread.
+    const int worker_counts[] = {0, 2, 4, 8};
     for (const int w : worker_counts) {
-      verifier.SetFleetOptions({.workers = w, .batch_size = batch_size});
-      const double ms = poll_round();
-      if (!check_round("sweep round")) {
+      if (!sweep_round(batch_size, w)) {
         return 1;
       }
-      sweep_rows.push_back({batch_size, w, ms});
     }
     verifier.SetFleetOptions({.workers = workers, .batch_size = batch_size});
   }
@@ -279,7 +311,10 @@ int main(int argc, char** argv) {
                "  \"aik_cache_hits\": %llu,\n"
                "  \"aik_cache_misses\": %llu,\n"
                "  \"boot_log_cache_hits\": %llu,\n"
-               "  \"boot_log_cache_misses\": %llu,\n",
+               "  \"boot_log_cache_misses\": %llu,\n"
+               "  \"pipeline_batches_offloaded\": %llu,\n"
+               "  \"pipeline_batches_drained\": %llu,\n"
+               "  \"pipeline_join_wait_us\": %.1f,\n",
                kFleetSize, steady_rounds, batch_size, workers,
                std::thread::hardware_concurrency(), first_round_ms,
                steady_mean_ms, steady_max_ms, per_node_us, legacy_ms,
@@ -293,18 +328,27 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(verifier.aik_cache_hits()),
                static_cast<unsigned long long>(verifier.aik_cache_misses()),
                static_cast<unsigned long long>(verifier.boot_log_cache_hits()),
-               static_cast<unsigned long long>(verifier.boot_log_cache_misses()));
+               static_cast<unsigned long long>(verifier.boot_log_cache_misses()),
+               static_cast<unsigned long long>(steady_pipeline.offloaded),
+               static_cast<unsigned long long>(steady_pipeline.drained),
+               static_cast<double>(steady_pipeline.join_wait_ns) / 1e3);
   std::fprintf(f, "  \"sweep\": [");
   for (size_t i = 0; i < sweep_rows.size(); ++i) {
-    std::fprintf(f, "%s\n    {\"batch_size\": %d, \"workers\": %d, \"round_wall_ms\": %.3f}",
-                 i == 0 ? "" : ",", sweep_rows[i].batch, sweep_rows[i].workers,
-                 sweep_rows[i].ms);
+    const SweepRow& row = sweep_rows[i];
+    std::fprintf(f,
+                 "%s\n    {\"batch_size\": %d, \"workers\": %d, \"round_wall_ms\": %.3f, "
+                 "\"batches_offloaded\": %llu, \"batches_drained\": %llu, "
+                 "\"join_wait_us\": %.1f}",
+                 i == 0 ? "" : ",", row.batch, row.workers, row.ms,
+                 static_cast<unsigned long long>(row.pipeline.offloaded),
+                 static_cast<unsigned long long>(row.pipeline.drained),
+                 static_cast<double>(row.pipeline.join_wait_ns) / 1e3);
   }
   std::fprintf(f, "%s]\n}\n", sweep_rows.empty() ? "" : "\n  ");
   std::fclose(f);
 
-  std::printf("fleet of %d nodes, %d steady rounds (batch %d, %d workers)\n",
-              kFleetSize, steady_rounds, batch_size, workers);
+  std::printf("fleet of %d nodes, %d steady rounds (batch %d, %s workers)\n",
+              kFleetSize, steady_rounds, batch_size, WorkersLabel(workers).c_str());
   std::printf("first poll round (cold caches):    %8.1f ms wall\n", first_round_ms);
   std::printf("steady poll round mean:            %8.1f ms wall (%.1f us/node)\n",
               steady_mean_ms, per_node_us);
@@ -312,14 +356,23 @@ int main(int argc, char** argv) {
   std::printf("legacy per-node round:             %8.1f ms wall\n", legacy_ms);
   std::printf("steady event rate:                 %8.0f events/s (%.1f ns/event)\n",
               events_per_second, ns_per_event);
+  std::printf("steady pipeline: %llu batches off-thread, %llu drained at the join, "
+              "%.1f us join wait\n",
+              static_cast<unsigned long long>(steady_pipeline.offloaded),
+              static_cast<unsigned long long>(steady_pipeline.drained),
+              static_cast<double>(steady_pipeline.join_wait_ns) / 1e3);
   std::printf("AIK cache: %llu hits / %llu misses; boot-log cache: %llu / %llu\n",
               static_cast<unsigned long long>(verifier.aik_cache_hits()),
               static_cast<unsigned long long>(verifier.aik_cache_misses()),
               static_cast<unsigned long long>(verifier.boot_log_cache_hits()),
               static_cast<unsigned long long>(verifier.boot_log_cache_misses()));
   for (const SweepRow& row : sweep_rows) {
-    std::printf("sweep batch=%-4d workers=%d:         %8.1f ms wall\n", row.batch,
-                row.workers, row.ms);
+    std::printf("sweep batch=%-4d workers=%-4s:      %8.1f ms wall "
+                "(%llu off-thread, %llu drained, %.1f us join wait)\n",
+                row.batch, WorkersLabel(row.workers).c_str(), row.ms,
+                static_cast<unsigned long long>(row.pipeline.offloaded),
+                static_cast<unsigned long long>(row.pipeline.drained),
+                static_cast<double>(row.pipeline.join_wait_ns) / 1e3);
   }
   std::printf("wrote %s\n", out_path);
 #if BOLTED_OBS

@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh          # plain build + full test suite
 #   scripts/check.sh --asan   # additionally build/test with ASan + UBSan
-#   scripts/check.sh --tsan   # additionally build/run the sharding suite under TSan
+#   scripts/check.sh --tsan   # additionally build/run the threaded suites under TSan
 #   scripts/check.sh --bench  # additionally smoke-run the JSON bench runners
 #   scripts/check.sh --scenario  # additionally run the full 16-seed scenario soak
 #
@@ -112,16 +112,21 @@ if [[ "${want_asan}" == 1 ]]; then
 fi
 
 if [[ "${want_tsan}" == 1 ]]; then
-  echo "== sanitizers: sharded-runtime suite under TSan =="
-  # TSan is the sanitizer that matters for the sharded runtime: the
-  # shard-pair outboxes handed across the run/route barrier and the worker
-  # pool are the only cross-thread code in the tree, and the sharding suite
-  # drives all of them (plus a multi-threaded fleet_sharding sweep for the
-  # window loop at scale).
+  echo "== sanitizers: sharded runtime + fleet verifier under TSan =="
+  # TSan is the sanitizer that matters for the threaded code: the
+  # shard-pair outboxes handed across the run/route barrier, the worker
+  # pool, and the fleet verifier's batch pipeline are the only cross-thread
+  # code in the tree.  The sharding suite drives the first two (plus a
+  # multi-threaded fleet_sharding sweep for the window loop at scale).
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
   cmake --build build-tsan -j --target sharding_test fleet_sharding \
-    net_fastpath_test scenario_soak_test
+    net_fastpath_test scenario_soak_test attestation_batch_test
   ./build-tsan/tests/sharding_test
+  # Fleet rounds verify sealed quote batches on pool threads while the
+  # simulation thread keeps running events; the attestation suite's
+  # multi-worker fleet tests (incl. removal and teardown mid-round) are
+  # the TSan workload for that hand-off.
+  ./build-tsan/tests/attestation_batch_test
   # The burst engine runs inside the sharded workers (per-rack Networks,
   # uplink ingress via InjectFrame); the fast-path suite's sharded cases
   # are the TSan workload for it.

@@ -1,7 +1,11 @@
 #include "src/keylime/verifier.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "src/crypto/ecies.h"
 #include "src/keylime/agent.h"
@@ -40,6 +44,19 @@ std::optional<crypto::EcPoint> ParsePointUnchecked(crypto::ByteView encoded) {
   return p;
 }
 
+// Decodes and prepares an AIK; null when the encoding is not a curve
+// point.  A plain function, so the 8 KB key never sits in a coroutine frame.
+std::shared_ptr<const crypto::P256::PreparedKey> PrepareAik(crypto::ByteView wire) {
+  const auto aik = ParsePointUnchecked(wire);
+  auto prepared = aik ? crypto::P256::Instance().Prepare(*aik) : std::nullopt;
+  if (!prepared) {
+    return nullptr;
+  }
+  return std::make_shared<const crypto::P256::PreparedKey>(*std::move(prepared));
+}
+
+constexpr std::string_view kNodeRemoved = "node removed during verification";
+
 }  // namespace
 
 bool IsTransientFailure(std::string_view failure) {
@@ -56,12 +73,17 @@ Verifier::Verifier(sim::Simulation& sim, net::Endpoint& endpoint,
   node_.Start();
 }
 
-Verifier::~Verifier() = default;
-
 void Verifier::AddNode(const std::string& name, NodeConfig config) {
   NodeState state;
   state.config = std::move(config);
+  state.incarnation = ++next_incarnation_;
   nodes_[name] = std::move(state);
+}
+
+Verifier::NodeState* Verifier::Live(const std::string& name, uint64_t incarnation) {
+  const auto it = nodes_.find(name);
+  return it != nodes_.end() && it->second.incarnation == incarnation ? &it->second
+                                                                    : nullptr;
 }
 
 void Verifier::RemoveNode(const std::string& name) { nodes_.erase(name); }
@@ -73,10 +95,9 @@ void Verifier::UpdatePeers(const std::string& name, std::vector<net::Address> pe
   }
 }
 
-sim::Task Verifier::DeliverPayload(const std::string& name, const crypto::EcPoint& nk,
+sim::Task Verifier::DeliverPayload(const NodeState& state, const crypto::EcPoint& nk,
                                    bool* ok) {
   *ok = false;
-  auto& state = nodes_.at(name);
   const crypto::Bytes sealed_v = crypto::EciesSeal(nk, state.config.v_half, drbg_);
 
   net::Message message;
@@ -91,9 +112,6 @@ sim::Task Verifier::DeliverPayload(const std::string& name, const crypto::EcPoin
   }
   net::WireReader reader(response.payload);
   *ok = reader.U32() == 1 && reader.AtEnd();
-  if (*ok) {
-    state.payload_delivered = true;
-  }
 }
 
 // Plain dispatcher: the traced wrapper (a second coroutine frame) is only
@@ -162,23 +180,22 @@ sim::Task Verifier::VerifyNodeImpl(const std::string& name,
     result->failure = "unknown node";
     co_return;
   }
-  NodeState& state = it->second;
+  const uint64_t incarnation = it->second.incarnation;
   ++verifications_;
 
   QuoteExchange exchange;
-  co_await FetchQuote(name, state, &exchange);
+  co_await FetchQuote(name, incarnation, &exchange);
   if (!exchange.failure.empty()) {
     result->failure = std::move(exchange.failure);
     co_return;
   }
   // 3a (signature): the single-node path verifies inline; VerifyFleet
   // replaces exactly this step with the batched multi-scalar check.
-  const bool signature_ok =
-      tpm::Tpm::VerifyQuote(*exchange.quote, *state.aik_prepared);
-  co_await FinishVerification(name, state, exchange, signature_ok, result);
+  const bool signature_ok = tpm::Tpm::VerifyQuote(*exchange.quote, *exchange.aik);
+  co_await FinishVerification(name, incarnation, exchange, signature_ok, result);
 }
 
-sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
+sim::Task Verifier::FetchQuote(const std::string& name, uint64_t incarnation,
                                QuoteExchange* out) {
   // 1. Certified keys from the registrar.
   net::Message key_request;
@@ -201,27 +218,36 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
     out->failure = "malformed registrar response";
     co_return;
   }
+  // Each check below that needs the node's state re-finds it first: the
+  // node may have been removed while this flow was suspended.
+  NodeState* state = Live(name, incarnation);
+  if (state == nullptr) {
+    out->failure = kNodeRemoved;
+    co_return;
+  }
   // Decode + curve-check + table build happen once per distinct wire
   // encoding; steady-state polling reuses the prepared AIK.
-  if (!state.aik_prepared.has_value() || state.aik_wire != aik_wire) {
-    const auto aik = ParsePointUnchecked(aik_wire);
-    state.aik_prepared =
-        aik ? crypto::P256::Instance().Prepare(*aik) : std::nullopt;
-    state.aik_wire = aik_wire;
+  if (state->aik_prepared == nullptr || state->aik_wire != aik_wire) {
+    state->aik_prepared = PrepareAik(aik_wire);
+    state->aik_wire = aik_wire;
     ++aik_cache_misses_;
     obs::Count(sim_, "keylime.aik_cache_miss");
   } else {
     ++aik_cache_hits_;
     obs::Count(sim_, "keylime.aik_cache_hit");
   }
-  if (!state.nk_decoded.has_value() || state.nk_wire != nk_wire) {
-    state.nk_decoded = crypto::EcPoint::Decode(nk_wire);
-    state.nk_wire = nk_wire;
+  if (!state->nk_decoded.has_value() || state->nk_wire != nk_wire) {
+    state->nk_decoded = crypto::EcPoint::Decode(nk_wire);
+    state->nk_wire = nk_wire;
   }
-  if (!state.aik_prepared.has_value() || !state.nk_decoded.has_value()) {
+  if (state->aik_prepared == nullptr || !state->nk_decoded.has_value()) {
     out->failure = "malformed registrar response";
     co_return;
   }
+  // The exchange keeps the keys it was fetched with: a re-registration
+  // later in the round replaces the cache entry, never these.
+  out->aik = state->aik_prepared;
+  out->nk = *state->nk_decoded;
   if (!activated) {
     out->failure = "AIK not activated";
     co_return;
@@ -235,10 +261,10 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   quote_request.payload = net::WireWriter()
                               .Blob(out->nonce)
                               .U32(kQuotePcrMask)
-                              .U64(state.ima_seen)
+                              .U64(state->ima_seen)
                               .Take();
   net::Message quote_response;
-  co_await node_.CallWithRetry(state.config.agent, std::move(quote_request),
+  co_await node_.CallWithRetry(state->config.agent, std::move(quote_request),
                                &quote_response, &rpc_ok, call_options_);
   if (!rpc_ok || quote_response.kind == "kl.agent.error") {
     out->failure = "agent unreachable";
@@ -261,19 +287,24 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
     out->failure = "empty boot event log";
     co_return;
   }
-  if (out->ima_total < state.ima_seen) {
+  state = Live(name, incarnation);
+  if (state == nullptr) {
+    out->failure = kNodeRemoved;
+    co_return;
+  }
+  if (out->ima_total < state->ima_seen) {
     // The measurement list can only grow within one boot; a shrink means
     // the node rebooted out from under continuous attestation.
     out->failure = "IMA measurement list regressed (unexpected reboot?)";
     co_return;
   }
-  if (out->ima_log->size() != out->ima_total - state.ima_seen) {
+  if (out->ima_log->size() != out->ima_total - state->ima_seen) {
     out->failure = "IMA delta is inconsistent with the advertised total";
     co_return;
   }
 }
 
-sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state,
+sim::Task Verifier::FinishVerification(const std::string& name, uint64_t incarnation,
                                        QuoteExchange& ex, bool signature_ok,
                                        VerificationResult* result) {
   // 3a. Signature (verdict computed by the caller — inline single verify
@@ -295,8 +326,13 @@ sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state
   // 3b. Log replay must reproduce the quoted PCR values exactly.  The
   // boot-log replay comes precomputed from the golden-log cache; the IMA
   // PCR continues from the validated prefix's value.
+  NodeState* state = Live(name, incarnation);
+  if (state == nullptr) {
+    result->failure = kNodeRemoved;
+    co_return;
+  }
   std::array<crypto::Digest, tpm::kNumPcrs> replayed = ex.boot->pcrs;
-  crypto::Digest ima_pcr = state.ima_pcr;
+  crypto::Digest ima_pcr = state->ima_pcr;
   for (const tpm::MeasurementEvent& event : ex.ima_log->events()) {
     if (event.pcr_index != tpm::kPcrIma) {
       result->failure = "IMA delta contains a non-IMA event";
@@ -314,59 +350,224 @@ sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state
   }
 
   // 3c. Whitelist checks.
-  if (state.config.whitelist == nullptr) {
+  if (state->config.whitelist == nullptr) {
     result->failure = "no whitelist configured";
     co_return;
   }
   for (const tpm::MeasurementEvent& event : ex.boot->log.events()) {
-    if (!state.config.whitelist->boot.contains(event.measurement)) {
+    if (!state->config.whitelist->boot.contains(event.measurement)) {
       result->failure = "unwhitelisted boot measurement: " + event.description;
       co_return;
     }
   }
   for (const tpm::MeasurementEvent& event : ex.ima_log->events()) {
-    if (!state.config.whitelist->runtime.contains(event.measurement)) {
+    if (!state->config.whitelist->runtime.contains(event.measurement)) {
       result->failure = "unwhitelisted runtime file: " + event.description;
       co_return;
     }
   }
 
   // 4. Bootstrap delivery on first success.
-  if (!state.payload_delivered && !state.config.v_half.empty()) {
+  if (!state->payload_delivered && !state->config.v_half.empty()) {
     bool delivered = false;
-    co_await DeliverPayload(name, *state.nk_decoded, &delivered);
+    co_await DeliverPayload(*state, ex.nk, &delivered);
+    state = Live(name, incarnation);
+    if (state == nullptr) {
+      result->failure = kNodeRemoved;
+      co_return;
+    }
     if (!delivered) {
       result->failure = "payload delivery failed";
       co_return;
     }
+    state->payload_delivered = true;
   }
   // Commit the incremental cursor only after full success so a failed
   // verification never advances past unvalidated measurements.
-  state.ima_seen = ex.ima_total;
-  state.ima_pcr = ima_pcr;
+  state->ima_seen = ex.ima_total;
+  state->ima_pcr = ima_pcr;
   result->passed = true;
 }
 
-namespace {
+// One fleet round's signature pipeline (DESIGN.md §11).  The simulation
+// thread appends every landed quote to the open batch and seals the batch
+// when it is full; pool threads 1..workers-1, launched for the whole
+// round, verify sealed batches while the simulation keeps running.  At
+// the join the simulation thread seals the partial batch, verifies
+// whatever no pool thread has claimed, and joins the pool.
+//
+// Happens-before: a batch's entries are written before the seal that
+// publishes it under `mu`; a thread claims it under `mu`; its verdicts and
+// stats are written by that one thread and read only after the join
+// (WorkerPool::Join's acquire, or the same thread).  Batch membership is
+// fixed by landing order and batch_size alone, never by which thread
+// verifies it.
+struct Verifier::FleetRound {
+  FleetRound(size_t max_quotes, size_t batch_size)
+      : batch_size(batch_size),
+        entries(max_quotes),
+        exchange_of(max_quotes),
+        ok(new bool[max_quotes]()),
+        ends((max_quotes + batch_size - 1) / batch_size),
+        stats(ends.size()) {}
+  // A round whose coroutine is destroyed mid-flight (its simulation torn
+  // down) still joins, so the pool never runs a job that is gone.
+  ~FleetRound() { Release(); }
 
-// Stable node-id hash for shard assignment (FNV-1a; std::hash is not
-// pinned across standard libraries).
-uint64_t ShardHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
+  // Simulation thread: a landed quote joins the open batch.
+  void Land(size_t index, const tpm::Quote* quote,
+            const crypto::P256::PreparedKey* aik) {
+    entries[landed] = {quote, aik};
+    exchange_of[landed] = index;
+    if (++landed % batch_size == 0) {
+      Seal();
+    }
   }
-  return h;
+  void Seal() {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ends[sealed++] = landed;
+    }
+    ready.notify_one();
+  }
+  // Simulation thread: no more quotes will land.
+  void Close() {
+    if (landed % batch_size != 0) {
+      Seal();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    ready.notify_all();
+  }
+  // Verifies sealed batches until the round is closed and every batch is
+  // claimed; returns how many this thread verified.
+  size_t Work() {
+    size_t verified = 0;
+    for (;;) {
+      size_t b = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        ready.wait(lock, [&] { return claimed < sealed || closed; });
+        if (claimed == sealed) {
+          return verified;
+        }
+        b = claimed++;
+      }
+      const size_t begin = b * batch_size;
+      tpm::Tpm::VerifyQuoteBatch({entries.data() + begin, ends[b] - begin},
+                                 ok.get() + begin, &stats[b]);
+      ++verified;
+    }
+  }
+  // Closes the round (if still open), joins the pool (if this round
+  // launched it) and hands the pool back to the verifier.
+  void Release() {
+    if (pool == nullptr) {
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    ready.notify_all();
+    pool->Join();
+    pool = nullptr;
+    owner->pool_round_ = nullptr;
+  }
+
+  const size_t batch_size;
+  std::vector<tpm::Tpm::QuoteBatchEntry> entries;  // landing order
+  std::vector<size_t> exchange_of;  // landing position -> exchange index
+  std::unique_ptr<bool[]> ok;       // landing position -> signature verdict
+  std::vector<size_t> ends;         // batch -> one past its last position
+  std::vector<crypto::P256::BatchStats> stats;  // batch -> its VerifyBatch stats
+  size_t landed = 0;                // simulation thread only
+  std::mutex mu;
+  std::condition_variable ready;
+  size_t sealed = 0;    // guarded by mu; written by the simulation thread
+  size_t claimed = 0;   // guarded by mu
+  bool closed = false;  // guarded by mu
+  const std::function<void(uint32_t)> job = [this](uint32_t) { Work(); };
+  // Set together from Launch until Release: the launched pool, and the
+  // verifier whose pool_round_ this round is.
+  sim::WorkerPool* pool = nullptr;
+  Verifier* owner = nullptr;
+};
+
+Verifier::~Verifier() {
+  // A round still in flight (its simulation outlives this verifier) must
+  // stop using the pool before the pool goes away.
+  if (pool_round_ != nullptr) {
+    pool_round_->Release();
+  }
 }
 
-}  // namespace
+sim::Task Verifier::FetchIntoRound(const std::string& name, uint64_t incarnation,
+                                   QuoteExchange* out, FleetRound* round,
+                                   size_t index) {
+  co_await FetchQuote(name, incarnation, out);
+  if (out->failure.empty()) {
+    round->Land(index, &*out->quote, out->aik.get());
+  }
+}
+
+void Verifier::JoinRound(FleetRound& round) {
+  round.Close();
+  const size_t drained = round.Work();
+  if (round.pool != nullptr) {
+    const auto wait_start = std::chrono::steady_clock::now();
+    round.Release();
+    fleet_join_wait_ns_ += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wait_start)
+            .count());
+  }
+  fleet_batches_drained_ += drained;
+  fleet_batches_offloaded_ += round.sealed - drained;
+
+  // Bookkeeping in batch order, on the simulation thread (obs must not be
+  // touched from the pool threads).
+  batched_verifications_ += round.landed;
+  obs::Record(sim_, "keylime.shard_quotes", round.landed);
+  uint32_t bisections = 0;
+  for (size_t b = 0; b < round.sealed; ++b) {
+    const crypto::P256::BatchStats& stats = round.stats[b];
+    bisections += stats.bisections;
+    batch_stats_.bisections += stats.bisections;
+    batch_stats_.sqrt_recoveries += stats.sqrt_recoveries;
+    batch_stats_.rejected_hints += stats.rejected_hints;
+    obs::Record(sim_, "keylime.batch_size", round.ends[b] - b * round.batch_size);
+  }
+  if (bisections != 0) {
+    obs::Count(sim_, "keylime.batch_bisections", bisections);
+  }
+}
 
 sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
                                 VerificationResult* results) {
   const size_t n = names.size();
+  const size_t batch_size =
+      static_cast<size_t>(std::max(1, fleet_options_.batch_size));
   std::vector<QuoteExchange> exchanges(n);
-  std::vector<NodeState*> states(n, nullptr);
+  std::vector<uint64_t> incarnations(n, 0);
+  FleetRound round(n, batch_size);
+  // The pool only pays when a full batch can be sealed before the join,
+  // and it runs one round's pipeline at a time.
+  const size_t workers = fleet_options_.workers > 0
+                             ? static_cast<size_t>(fleet_options_.workers)
+                             : std::max(1u, std::thread::hardware_concurrency());
+  if (workers > 1 && n > batch_size && pool_round_ == nullptr) {
+    if (worker_pool_ == nullptr || worker_pool_->threads() != workers) {
+      worker_pool_ = std::make_unique<sim::WorkerPool>(static_cast<uint32_t>(workers));
+    }
+    worker_pool_->Launch(round.job);
+    round.pool = worker_pool_.get();
+    round.owner = this;
+    pool_round_ = &round;
+  }
+
   sim::TaskGroup group(sim_);
   for (size_t i = 0; i < n; ++i) {
     results[i] = VerificationResult{};
@@ -375,97 +576,28 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
       exchanges[i].failure = "unknown node";
       continue;
     }
-    states[i] = &it->second;
+    incarnations[i] = it->second.incarnation;
     ++verifications_;
-    group.Spawn(FetchQuote(names[i], it->second, &exchanges[i]));
+    group.Spawn(FetchIntoRound(names[i], incarnations[i], &exchanges[i], &round, i));
   }
   co_await group.WaitAll();
 
-  // Every quote that landed in this round, sharded by node id and verified
-  // through the batched multi-scalar path.  This section is host CPU only —
-  // it schedules no sim event — so batch size and worker count cannot
-  // perturb the event sequence, and verdicts/digests match the workers = 1
-  // oracle byte for byte.
-  const size_t workers = static_cast<size_t>(std::max(1, fleet_options_.workers));
-  const size_t batch_size =
-      static_cast<size_t>(std::max(1, fleet_options_.batch_size));
-  std::vector<std::vector<size_t>> shards(workers);
-  for (size_t i = 0; i < n; ++i) {
-    if (exchanges[i].failure.empty()) {
-      shards[ShardHash(names[i]) % workers].push_back(i);
-    }
-  }
+  // Host CPU only: the join schedules no sim event, so batch size and
+  // worker count cannot perturb the event sequence.
+  JoinRound(round);
   std::vector<uint8_t> signature_ok(n, 0);
-  struct ShardReport {
-    crypto::P256::BatchStats stats;
-    std::vector<uint64_t> chunk_sizes;
-  };
-  std::vector<ShardReport> reports(workers);
-  const auto run_shard = [&](size_t s) {
-    const std::vector<size_t>& index = shards[s];
-    ShardReport& report = reports[s];
-    std::vector<tpm::Tpm::QuoteBatchEntry> entries;
-    for (size_t start = 0; start < index.size(); start += batch_size) {
-      const size_t count = std::min(batch_size, index.size() - start);
-      entries.resize(count);
-      for (size_t k = 0; k < count; ++k) {
-        const size_t i = index[start + k];
-        entries[k].quote = &*exchanges[i].quote;
-        entries[k].aik = &*states[i]->aik_prepared;
-      }
-      const std::unique_ptr<bool[]> ok(new bool[count]());
-      tpm::Tpm::VerifyQuoteBatch(entries, ok.get(), &report.stats);
-      for (size_t k = 0; k < count; ++k) {
-        signature_ok[index[start + k]] = ok[k] ? 1 : 0;
-      }
-      report.chunk_sizes.push_back(count);
-    }
-  };
-  if (workers == 1 || n < 2) {
-    for (size_t s = 0; s < workers; ++s) {
-      run_shard(s);
-    }
-  } else {
-    // Shards run on the persistent sim::WorkerPool — the same pinned
-    // worker team the sharded simulation uses — striding shards across
-    // threads instead of spawning and joining a thread per shard every
-    // poll round.
-    if (worker_pool_ == nullptr || worker_pool_->threads() != workers) {
-      worker_pool_ = std::make_unique<sim::WorkerPool>(
-          static_cast<uint32_t>(workers), /*pin=*/true);
-    }
-    worker_pool_->RunOnAll([&](uint32_t t) {
-      for (size_t s = t; s < workers; s += worker_pool_->threads()) {
-        run_shard(s);
-      }
-    });
+  for (size_t p = 0; p < round.landed; ++p) {
+    signature_ok[round.exchange_of[p]] = round.ok[p] ? 1 : 0;
   }
 
-  // Bookkeeping in deterministic shard order (obs must not be touched from
-  // the worker threads).
-  for (size_t s = 0; s < workers; ++s) {
-    const ShardReport& report = reports[s];
-    batched_verifications_ += shards[s].size();
-    batch_stats_.bisections += report.stats.bisections;
-    batch_stats_.sqrt_recoveries += report.stats.sqrt_recoveries;
-    batch_stats_.rejected_hints += report.stats.rejected_hints;
-    obs::Record(sim_, "keylime.shard_quotes", shards[s].size());
-    for (const uint64_t chunk : report.chunk_sizes) {
-      obs::Record(sim_, "keylime.batch_size", chunk);
-    }
-    if (report.stats.bisections != 0) {
-      obs::Count(sim_, "keylime.batch_bisections", report.stats.bisections);
-    }
-  }
-
-  // Merge verdicts back in submission order; each node's post-signature
-  // pipeline runs exactly as the single-node path would.
+  // Verdicts in submission order; each node's post-signature pipeline
+  // runs exactly as the single-node path would.
   for (size_t i = 0; i < n; ++i) {
     if (!exchanges[i].failure.empty()) {
       results[i].failure = std::move(exchanges[i].failure);
       continue;
     }
-    co_await FinishVerification(names[i], *states[i], exchanges[i],
+    co_await FinishVerification(names[i], incarnations[i], exchanges[i],
                                 signature_ok[i] != 0, &results[i]);
   }
 }
@@ -476,7 +608,8 @@ void Verifier::StartContinuous(const std::string& name, sim::Duration interval) 
     return;
   }
   it->second.continuous = true;
-  sim_.Spawn(ContinuousLoop(name, interval, it->second.generation));
+  sim_.Spawn(ContinuousLoop(name, interval, it->second.incarnation,
+                            it->second.generation));
 }
 
 void Verifier::StopContinuous(const std::string& name) {
@@ -488,31 +621,29 @@ void Verifier::StopContinuous(const std::string& name) {
 }
 
 sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
-                                   uint64_t generation) {
+                                   uint64_t incarnation, uint64_t generation) {
   sim::Duration wait = interval;
   for (;;) {
     co_await sim::Delay(sim_, wait);
-    const auto it = nodes_.find(name);
-    if (it == nodes_.end() || !it->second.continuous ||
-        it->second.generation != generation) {
+    const NodeState* state = Live(name, incarnation);
+    if (state == nullptr || !state->continuous || state->generation != generation) {
       co_return;
     }
     VerificationResult result;
     co_await VerifyNode(name, &result);
     // VerifyNode suspends, so re-check that this loop still owns the node
     // before acting on the verdict.
-    const auto after = nodes_.find(name);
-    if (after == nodes_.end() || !after->second.continuous ||
-        after->second.generation != generation) {
+    NodeState* after = Live(name, incarnation);
+    if (after == nullptr || !after->continuous || after->generation != generation) {
       co_return;
     }
     if (result.passed) {
-      after->second.transient_strikes = 0;
+      after->transient_strikes = 0;
       wait = interval;
       continue;
     }
     if (IsTransientFailure(result.failure) &&
-        ++after->second.transient_strikes < max_transient_strikes_) {
+        ++after->transient_strikes < max_transient_strikes_) {
       // Escalation ladder: a quote timeout earns a fast re-poll (the node
       // may be mid-reboot or behind a flapping link), not an instant
       // quarantine.  Strikes accumulate until a pass resets them.

@@ -100,21 +100,31 @@ class Verifier {
   sim::Task VerifyNode(const std::string& name, VerificationResult* result);
 
   // Fleet poll-round knobs.  Both are HOST-SIDE only: they change how much
-  // CPU the signature checks cost, never the simulation's event sequence,
-  // so verdicts and trace digests are byte-identical across any batch size
-  // and worker count (the single-threaded oracle is workers = 1).
+  // CPU the signature checks cost and when it is spent, never the
+  // simulation's event sequence.  Verdicts and trace digests are
+  // byte-identical for every batch size and worker count; the obs registry
+  // and batch_stats() for every worker count (the batch size decides how
+  // quotes group, so what is recorded per batch and which quotes share a
+  // bisection).
   struct FleetOptions {
-    int workers = 1;     // deterministic worker pool for shard verification
-    int batch_size = 64; // quotes per VerifyQuoteBatch call within a shard
+    // Threads checking signatures: the simulation thread plus workers - 1
+    // pool threads that verify sealed batches while the round is still
+    // running.  0 means std::thread::hardware_concurrency(); 1 is the
+    // single-threaded oracle, which checks every batch at the round's end.
+    int workers = 0;
+    // Quotes per Tpm::VerifyQuoteBatch call, grouped in the order they
+    // land.
+    int batch_size = 64;
   };
   void SetFleetOptions(const FleetOptions& options) { fleet_options_ = options; }
 
   // One poll round over the whole fleet: fans the nonce/quote exchanges out
-  // concurrently, collects every quote that lands in the round into
-  // per-shard batches (sharded by node id), verifies the signatures through
-  // Tpm::VerifyQuoteBatch on the worker pool, and completes each node's
-  // replay/whitelist pipeline in submission order.  results[i] is exactly
-  // what VerifyNode(names[i], ...) would produce.
+  // concurrently, appends every quote to the round's open batch as it
+  // lands, hands each full batch to the worker pool for
+  // Tpm::VerifyQuoteBatch while the simulation keeps running, joins after
+  // the last exchange, and completes each node's replay/whitelist pipeline
+  // in submission order (DESIGN.md §11).  results[i] is exactly what
+  // VerifyNode(names[i], ...) would produce.
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
@@ -148,6 +158,15 @@ class Verifier {
   uint64_t batched_verifications() const { return batched_verifications_; }
   // Cumulative VerifyBatch statistics across all fleet rounds.
   const crypto::P256::BatchStats& batch_stats() const { return batch_stats_; }
+  // Host-side pipeline telemetry, cumulative across fleet rounds.  These
+  // depend on host timing, so they stay out of the deterministic obs
+  // registry: batches a pool thread verified while the round ran, batches
+  // the simulation thread verified itself at the join (all of them when
+  // workers = 1), and host nanoseconds the simulation thread then spent
+  // blocked until the pool threads finished.
+  uint64_t fleet_batches_offloaded() const { return fleet_batches_offloaded_; }
+  uint64_t fleet_batches_drained() const { return fleet_batches_drained_; }
+  uint64_t fleet_join_wait_ns() const { return fleet_join_wait_ns_; }
   // Golden boot-log cache (decode + replay once per distinct log).
   uint64_t boot_log_cache_hits() const { return boot_log_cache_hits_; }
   uint64_t boot_log_cache_misses() const { return boot_log_cache_misses_; }
@@ -158,6 +177,10 @@ class Verifier {
     bool payload_delivered = false;
     bool continuous = false;
     uint64_t generation = 0;  // bumps on StopContinuous to kill old loops
+    // Unique per AddNode: after a suspension a flow re-finds the node with
+    // Live() before touching its state, and fails closed once the node was
+    // removed, even if a node of the same name has been added since.
+    uint64_t incarnation = 0;
     // Incremental-attestation cursor: how much of the node's IMA
     // measurement list has been validated, and the PCR-10 value that
     // prefix replays to.  Only the suffix travels on each quote.
@@ -169,9 +192,10 @@ class Verifier {
     // Decoded-key cache, keyed on the registrar's wire encodings: the AIK
     // is decoded, curve-checked, and equipped with verify tables once, not
     // on every poll.  A changed encoding (re-registration) misses and
-    // rebuilds.
+    // rebuilds.  Shared so an in-flight exchange keeps the key it fetched
+    // alive while a later lookup replaces it.
     crypto::Bytes aik_wire;
-    std::optional<crypto::P256::PreparedKey> aik_prepared;
+    std::shared_ptr<const crypto::P256::PreparedKey> aik_prepared;
     crypto::Bytes nk_wire;
     std::optional<crypto::EcPoint> nk_decoded;
   };
@@ -187,33 +211,47 @@ class Verifier {
 
   // Everything a node's quote exchange produced ahead of the signature
   // check: either an early failure (exact VerifyNode failure string) or
-  // the parsed quote plus decoded logs.
+  // the parsed quote plus decoded logs and the keys it was checked with.
   struct QuoteExchange {
     std::string failure;  // nonempty = failed before the signature stage
     std::optional<tpm::Quote> quote;
+    std::shared_ptr<const crypto::P256::PreparedKey> aik;
+    crypto::EcPoint nk;
     const BootReplay* boot = nullptr;
     std::optional<tpm::EventLog> ima_log;
     uint64_t ima_total = 0;
     crypto::Bytes nonce;
   };
 
+  // One VerifyFleet round's signature pipeline (defined in verifier.cc).
+  struct FleetRound;
+
+  // The node's state while `name` still names the `incarnation` a flow
+  // started with; null once that node was removed.
+  NodeState* Live(const std::string& name, uint64_t incarnation);
   sim::Task VerifyNodeImpl(const std::string& name, VerificationResult* result);
   sim::Task VerifyNodeTraced(const std::string& name, VerificationResult* result);
   // Stage A: registrar keys, nonce, quote RPC, parsing, and every check
   // that precedes the signature verification, in VerifyNode's order.
-  sim::Task FetchQuote(const std::string& name, NodeState& state,
+  sim::Task FetchQuote(const std::string& name, uint64_t incarnation,
                        QuoteExchange* out);
+  // Stage A for a fleet round: a landed quote joins the round's open batch.
+  sim::Task FetchIntoRound(const std::string& name, uint64_t incarnation,
+                           QuoteExchange* out, FleetRound* round, size_t index);
   // Stage B: everything after the signature verdict — freshness, replay,
   // whitelists, payload delivery, cursor commit.
-  sim::Task FinishVerification(const std::string& name, NodeState& state,
+  sim::Task FinishVerification(const std::string& name, uint64_t incarnation,
                                QuoteExchange& ex, bool signature_ok,
                                VerificationResult* result);
+  // Joins `round`'s pipeline and books its statistics (simulation thread).
+  void JoinRound(FleetRound& round);
   const BootReplay* ReplayBootLog(const crypto::Bytes& wire);
   sim::Task ContinuousLoop(std::string name, sim::Duration interval,
-                           uint64_t generation);
+                           uint64_t incarnation, uint64_t generation);
   sim::Task Revoke(const std::string& name);
   sim::Task NotifyRevocation(net::Address peer, net::Address bad);
-  sim::Task DeliverPayload(const std::string& name, const crypto::EcPoint& nk,
+  // Reads `state` only before its first suspension.
+  sim::Task DeliverPayload(const NodeState& state, const crypto::EcPoint& nk,
                            bool* ok);
 
   sim::Simulation& sim_;
@@ -225,12 +263,17 @@ class Verifier {
   net::CallOptions call_options_{.timeout = sim::Duration::Seconds(10),
                                  .max_attempts = 2};
   int max_transient_strikes_ = 3;
+  uint64_t next_incarnation_ = 0;
   FleetOptions fleet_options_;
-  // Persistent worker team for the fleet poll rounds (sim::WorkerPool,
-  // the sharded-simulation runtime's pool): built lazily on the first
-  // multi-worker round and kept across rounds, so steady-state polling
-  // pays no thread spawn/join.  Rebuilt only when `workers` changes.
+  // Persistent, unpinned worker team for the fleet poll rounds
+  // (sim::WorkerPool, the sharded-simulation runtime's pool): built lazily
+  // on the first multi-worker round and kept across rounds, so
+  // steady-state polling pays no thread spawn/join.  Rebuilt only when
+  // `workers` changes.
   std::unique_ptr<sim::WorkerPool> worker_pool_;
+  // The round whose pipeline holds worker_pool_'s launch, if any.  A
+  // round that overlaps it verifies its own batches at its join.
+  FleetRound* pool_round_ = nullptr;
   // Keyed on SHA-256 of the log's wire bytes; std::map keeps entries
   // pointer-stable for the QuoteExchange references.  Bounded by the number
   // of distinct firmware images the fleet runs, not by fleet size.
@@ -244,6 +287,9 @@ class Verifier {
   crypto::P256::BatchStats batch_stats_{};
   uint64_t boot_log_cache_hits_ = 0;
   uint64_t boot_log_cache_misses_ = 0;
+  uint64_t fleet_batches_offloaded_ = 0;
+  uint64_t fleet_batches_drained_ = 0;
+  uint64_t fleet_join_wait_ns_ = 0;
 };
 
 }  // namespace bolted::keylime

@@ -1,15 +1,23 @@
 // Batched attestation tests: P256::VerifyBatch against the sequential
 // oracle (equivalence, exact blame under poisoning, adversarial R hints,
 // Wycheproof-style rejection vectors), Tpm::VerifyQuoteBatch, and the
-// verifier's fleet pipeline (verdict + trace-digest invariance across
-// batch sizes and worker counts, stale-AIK negatives).
+// verifier's fleet pipeline (verdict, trace-digest, obs and batch-stat
+// invariance across worker counts, stale-AIK negatives, nodes removed
+// mid-verification, teardown mid-round).
 //
-// Selected with `ctest -L attestation`.
+// Selected with `ctest -L attestation`; the TSan leg of scripts/check.sh
+// runs this binary too, since the fleet pipeline's pool threads verify
+// while the simulation thread runs.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
@@ -17,6 +25,7 @@
 #include "src/keylime/registrar.h"
 #include "src/keylime/verifier.h"
 #include "src/machine/machine.h"
+#include "src/obs/obs.h"
 
 namespace bolted {
 namespace {
@@ -295,7 +304,9 @@ TEST(QuoteBatchTest, MatchesVerifyQuoteIncludingCorruption) {
 
 // A small fleet over the simulated fabric.  One machine runs compromised
 // firmware, one node is registered with an unreachable agent address; the
-// rest are healthy.
+// rest are healthy.  `staggered` spreads the TPMs' quote latencies
+// (1 s + 10 ms per node index), so quotes land one by one over the round
+// instead of all at one instant.
 struct FleetFixture {
   static constexpr int kNodes = 24;
   static constexpr int kCompromised = 17;
@@ -308,20 +319,27 @@ struct FleetFixture {
   keylime::Registrar registrar{sim, registrar_ep, 1};
   keylime::Verifier verifier{sim, verifier_ep, registrar_ep.address(), 2};
   machine::MachineConfig mc;
+  std::shared_ptr<keylime::Whitelist> whitelist =
+      std::make_shared<keylime::Whitelist>();
   std::vector<std::unique_ptr<machine::Machine>> machines;
   std::vector<std::unique_ptr<keylime::Agent>> agents;
   std::vector<std::string> names;
 
-  explicit FleetFixture(uint64_t seed = 9001) : sim{seed} {
+  explicit FleetFixture(uint64_t seed = 9001, int nodes = kNodes,
+                        bool staggered = false)
+      : sim{seed} {
     mc.flash_firmware = firmware::BuildLinuxBoot("src");
-    auto whitelist = std::make_shared<keylime::Whitelist>();
     whitelist->AllowBoot(mc.flash_firmware.digest);
     fabric.AttachToVlan(registrar_ep.address(), 50);
     fabric.AttachToVlan(verifier_ep.address(), 50);
-    for (int i = 0; i < kNodes; ++i) {
+    for (int i = 0; i < nodes; ++i) {
+      machine::MachineConfig config = mc;
+      if (staggered) {
+        config.tpm_latency.quote = sim::Duration::Milliseconds(1000 + 10 * i);
+      }
       names.push_back("fleet-" + std::to_string(i));
       machines.push_back(
-          std::make_unique<machine::Machine>(sim, fabric, names.back(), mc));
+          std::make_unique<machine::Machine>(sim, fabric, names.back(), config));
       agents.push_back(std::make_unique<keylime::Agent>(*machines.back(), 100 + i));
       fabric.AttachToVlan(machines.back()->address(), 50);
     }
@@ -333,24 +351,32 @@ struct FleetFixture {
           registrar_ep.address(), names[static_cast<size_t>(i)], &ok);
       co_await machines[static_cast<size_t>(i)]->PowerOnSelfTest();
     };
-    for (int i = 0; i < kNodes; ++i) {
+    for (int i = 0; i < nodes; ++i) {
       sim.Spawn(setup(i));
     }
     sim.Run();
-    for (int i = 0; i < kNodes; ++i) {
-      keylime::Verifier::NodeConfig config;
-      config.agent = i == kUnreachable ? net::Address{59999}
-                                       : machines[static_cast<size_t>(i)]->address();
-      config.whitelist = whitelist;
-      verifier.AddNode(names[static_cast<size_t>(i)], std::move(config));
+    for (int i = 0; i < nodes; ++i) {
+      AddNode(i);
     }
     // Short timeout, single attempt: the unreachable node fails fast.
     verifier.SetCallOptions({.timeout = sim::Duration::Seconds(2),
                              .max_attempts = 1});
   }
 
+  void AddNode(int i) {
+    keylime::Verifier::NodeConfig config;
+    config.agent = i == kUnreachable ? net::Address{59999}
+                                     : machines[static_cast<size_t>(i)]->address();
+    config.whitelist = whitelist;
+    verifier.AddNode(names[static_cast<size_t>(i)], std::move(config));
+  }
+
+  // Gives node i a fresh AIK the registrar never certified: its quotes
+  // then carry signatures that fail against the registered key.
+  void ForgeSignatures(int i) { machines[static_cast<size_t>(i)]->tpm().CreateAik(); }
+
   std::vector<keylime::VerificationResult> Poll() {
-    std::vector<keylime::VerificationResult> results(kNodes);
+    std::vector<keylime::VerificationResult> results(names.size());
     auto round = [&]() -> Task {
       co_await verifier.VerifyFleet(names, results.data());
     };
@@ -360,9 +386,15 @@ struct FleetFixture {
   }
 };
 
-void ExpectFleetVerdicts(const std::vector<keylime::VerificationResult>& results) {
-  for (int i = 0; i < FleetFixture::kNodes; ++i) {
-    if (i == FleetFixture::kCompromised) {
+// The compromised and unreachable nodes fail with their reasons, each node
+// in `failures` with exactly the given one, and every other node passes.
+void ExpectFleetVerdicts(const std::vector<keylime::VerificationResult>& results,
+                         const std::map<int, std::string>& failures = {}) {
+  for (int i = 0; i < static_cast<int>(results.size()); ++i) {
+    if (const auto it = failures.find(i); it != failures.end()) {
+      EXPECT_FALSE(results[static_cast<size_t>(i)].passed) << i;
+      EXPECT_EQ(results[static_cast<size_t>(i)].failure, it->second) << i;
+    } else if (i == FleetFixture::kCompromised) {
       EXPECT_FALSE(results[static_cast<size_t>(i)].passed);
       EXPECT_NE(results[static_cast<size_t>(i)].failure.find(
                     "unwhitelisted boot measurement"),
@@ -480,6 +512,175 @@ TEST(FleetTest, StaleAikCannotValidateReRegisteredNode) {
   bool batch_ok = true;
   EXPECT_FALSE(tpm::Tpm::VerifyQuoteBatch({&entry, 1}, &batch_ok));
   EXPECT_FALSE(batch_ok);
+}
+
+// Everything a fleet round lets an observer see.
+struct FleetOutputs {
+  std::vector<std::string> failures;
+  uint64_t trace_digest = 0;
+  std::string metrics;
+  uint32_t bisections = 0;
+  uint32_t sqrt_recoveries = 0;
+  uint32_t rejected_hints = 0;
+  uint64_t batched = 0;
+};
+
+TEST(FleetTest, WorkerCountChangesNothingObservable) {
+  // 72 staggered nodes: with batch 64 one full batch is sealed mid-round.
+  // Node 5's forged signature makes every multi-quote batch holding it
+  // bisect.
+  constexpr int kNodes = 72;
+  constexpr int kForged = 5;
+  constexpr uint64_t kLanded = kNodes - 1;  // all but the unreachable node
+  for (const int batch : {1, 7, 64}) {
+    FleetOutputs oracle;
+    for (const int workers : {1, 2, 4, 8}) {
+      FleetFixture fleet(9001, kNodes, /*staggered=*/true);
+      fleet.ForgeSignatures(kForged);
+#if BOLTED_OBS
+      obs::Registry registry(fleet.sim);
+#endif
+      fleet.verifier.SetFleetOptions({.workers = workers, .batch_size = batch});
+      const auto first = fleet.Poll();
+      const auto second = fleet.Poll();
+      ExpectFleetVerdicts(first, {{kForged, "quote signature invalid"}});
+      ExpectFleetVerdicts(second, {{kForged, "quote signature invalid"}});
+
+      FleetOutputs out;
+      for (const auto& r : second) {
+        out.failures.push_back(r.failure);
+      }
+      out.trace_digest = fleet.sim.trace_digest();
+#if BOLTED_OBS
+      out.metrics = registry.MetricsText();
+#endif
+      const crypto::P256::BatchStats& stats = fleet.verifier.batch_stats();
+      out.bisections = stats.bisections;
+      out.sqrt_recoveries = stats.sqrt_recoveries;
+      out.rejected_hints = stats.rejected_hints;
+      out.batched = fleet.verifier.batched_verifications();
+      // Every sealed batch was verified exactly once, by a pool thread or
+      // at the join; with one worker there is no pool.
+      const uint64_t batches =
+          2 * ((kLanded + static_cast<uint64_t>(batch) - 1) / static_cast<uint64_t>(batch));
+      EXPECT_EQ(fleet.verifier.fleet_batches_offloaded() +
+                    fleet.verifier.fleet_batches_drained(),
+                batches);
+      if (workers == 1) {
+        EXPECT_EQ(fleet.verifier.fleet_batches_offloaded(), 0u);
+        EXPECT_EQ(fleet.verifier.fleet_join_wait_ns(), 0u);
+      }
+      if (batch > 1) {  // a singleton batch is checked directly, not bisected
+        EXPECT_GT(out.bisections, 0u) << "batch=" << batch;
+      }
+      EXPECT_EQ(out.batched, 2 * kLanded);
+
+      if (workers == 1) {
+        oracle = out;
+        continue;
+      }
+      const auto where = ::testing::Message() << "batch=" << batch << " workers=" << workers;
+      EXPECT_EQ(out.failures, oracle.failures) << where;
+      EXPECT_EQ(out.trace_digest, oracle.trace_digest) << where;
+      EXPECT_EQ(out.metrics, oracle.metrics) << where;
+      EXPECT_EQ(out.bisections, oracle.bisections) << where;
+      EXPECT_EQ(out.sqrt_recoveries, oracle.sqrt_recoveries) << where;
+      EXPECT_EQ(out.rejected_hints, oracle.rejected_hints) << where;
+      EXPECT_EQ(out.batched, oracle.batched) << where;
+    }
+  }
+}
+
+#ifdef __linux__
+TEST(FleetTest, PoolLeavesTheSimulationThreadUnpinned) {
+  cpu_set_t before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  FleetFixture fleet(9001, 40, /*staggered=*/true);
+  fleet.verifier.SetFleetOptions({.workers = 4, .batch_size = 4});
+  ExpectFleetVerdicts(fleet.Poll());
+  cpu_set_t after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+}
+#endif
+
+// A node removed while its verification is suspended fails closed, also
+// when a node of the same name has been added since; the re-added node
+// then verifies from a clean state.
+TEST(VerifierRemovalTest, RemoveDuringVerifyNodeFailsClosed) {
+  FleetFixture fleet;
+  keylime::VerificationResult removed;
+  keylime::VerificationResult readded;
+  auto verify = [&](int i, keylime::VerificationResult* result) -> Task {
+    co_await fleet.verifier.VerifyNode(fleet.names[static_cast<size_t>(i)], result);
+  };
+  fleet.sim.Spawn(verify(0, &removed));
+  fleet.sim.Spawn(verify(1, &readded));
+  // 100 ms in, both flows wait on their 1.5 s TPM quotes.
+  fleet.sim.RunUntil(fleet.sim.now() + sim::Duration::Milliseconds(100));
+  fleet.verifier.RemoveNode(fleet.names[0]);
+  fleet.verifier.RemoveNode(fleet.names[1]);
+  fleet.AddNode(1);
+  fleet.sim.Run();
+  EXPECT_FALSE(removed.passed);
+  EXPECT_EQ(removed.failure, "node removed during verification");
+  EXPECT_FALSE(readded.passed);
+  EXPECT_EQ(readded.failure, "node removed during verification");
+  EXPECT_FALSE(fleet.verifier.HasNode(fleet.names[0]));
+
+  keylime::VerificationResult fresh;
+  fleet.sim.Spawn(verify(1, &fresh));
+  fleet.sim.Run();
+  EXPECT_TRUE(fresh.passed) << fresh.failure;
+}
+
+// The same inside a pipelined fleet round: node 2 is removed before its
+// quote lands, node 3 after its quote landed and was sealed into a batch
+// (the batch keeps the AIK it was fetched with alive until it is checked,
+// by a pool thread or at the join), and node 4 is removed and re-added
+// after landing.
+TEST(VerifierRemovalTest, RemoveDuringVerifyFleetFailsClosed) {
+  for (const int workers : {1, 4}) {
+    FleetFixture fleet(9001, FleetFixture::kNodes, /*staggered=*/true);
+    fleet.verifier.SetFleetOptions({.workers = workers, .batch_size = 1});
+    std::vector<keylime::VerificationResult> results(fleet.names.size());
+    auto round = [&]() -> Task {
+      co_await fleet.verifier.VerifyFleet(fleet.names, results.data());
+    };
+    fleet.sim.Spawn(round());
+    fleet.sim.RunUntil(fleet.sim.now() + sim::Duration::Milliseconds(100));
+    fleet.verifier.RemoveNode(fleet.names[2]);
+    // Node 4's quote (1.04 s TPM latency) has landed by 1.5 s.
+    fleet.sim.RunUntil(fleet.sim.now() + sim::Duration::Milliseconds(1400));
+    fleet.verifier.RemoveNode(fleet.names[3]);
+    fleet.verifier.RemoveNode(fleet.names[4]);
+    fleet.AddNode(4);
+    fleet.sim.Run();
+    const std::string removed = "node removed during verification";
+    ExpectFleetVerdicts(results, {{2, removed}, {3, removed}, {4, removed}});
+
+    // The next round verifies the re-added node from scratch.
+    fleet.verifier.RemoveNode(fleet.names[2]);
+    results = fleet.Poll();
+    ExpectFleetVerdicts(results, {{2, "unknown node"}, {3, "unknown node"}});
+  }
+}
+
+// Tearing a fleet down mid-round — the verifier first, then the
+// simulation that still owns the suspended round — joins the pool instead
+// of leaving its threads inside a destroyed round.
+TEST(FleetTest, TeardownMidRoundJoinsThePool) {
+  auto fleet = std::make_unique<FleetFixture>(9001, FleetFixture::kNodes,
+                                              /*staggered=*/true);
+  fleet->verifier.SetFleetOptions({.workers = 4, .batch_size = 1});
+  std::vector<keylime::VerificationResult> results(fleet->names.size());
+  auto round = [&]() -> Task {
+    co_await fleet->verifier.VerifyFleet(fleet->names, results.data());
+  };
+  fleet->sim.Spawn(round());
+  fleet->sim.RunUntil(fleet->sim.now() + sim::Duration::Milliseconds(1500));
+  EXPECT_GT(fleet->verifier.verifications(), 0u);
+  fleet.reset();
 }
 
 }  // namespace
