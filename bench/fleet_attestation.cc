@@ -6,26 +6,32 @@
 // verification plus per-poll key decoding.  This bench drives the real
 // protocol stack — registrar lookup, nonce, TPM quote, log replay,
 // whitelist checks — over the simulated network for every node, and
-// reports how much host CPU one full round costs.  The first round pays
-// the per-node Prepare (decode + on-curve check + verify tables); steady
-// rounds hit the verifier's AIK cache and the golden boot-log cache, and
-// verify signatures through the batched multi-scalar path
+// reports how much host CPU one full round costs.  Like a fleet of mixed
+// TPM parts, each node's quote latency is a seeded draw between 1 and 2
+// simulated seconds (the draw perfbench's attest_poll uses), so quotes
+// land spread over the round.  The first round pays the per-node Prepare
+// (decode + on-curve check + verify tables); steady rounds hit the
+// verifier's AIK cache and the golden boot-log cache, and verify
+// signatures through the batched multi-scalar path
 // (Verifier::VerifyFleet).  A final sweep re-times single rounds across
 // batch sizes and worker counts, plus the legacy per-node VerifyNode path
-// for an honest old-vs-new row.  Every row also reports the verifier's
-// host-side pipeline telemetry: batches a pool thread verified while the
-// round ran, batches the simulation thread verified at the join, and the
-// time it then waited for the pool.
+// for an honest old-vs-new row.  Every row also reports the host-side
+// pipeline telemetry: batches a queue thread verified, batches the
+// simulation thread verified at the join and the time it waited there,
+// quotes whose speculative signature was used or had to be re-signed,
+// and offload jobs run by queue threads and by their waiters.
 //
 // Usage: fleet_attestation [output-path] [--nodes=N] [--rounds=N]
 //                          [--batch=N] [--workers=N] [--no-sweep]
 //                          [--trace=out.json]
 //   (default output: BENCH_attestation.json, default fleet 4096; batch
-//    and workers default to Verifier::FleetOptions, where --workers=0
-//    means one per hardware thread; --trace additionally
-//    exports a chrome://tracing JSON of the whole run.  Tracing adds
-//    bookkeeping to the timed path, so compare wall numbers only between
-//    untraced runs.)
+//    defaults to Verifier::FleetOptions.  --workers=N signs and verifies
+//    on the simulation thread plus an offload queue of N-1 threads, so 1
+//    runs every job inline; the default 0 uses the process-wide queue,
+//    one thread per hardware thread but the simulation's.  --trace
+//    additionally exports a chrome://tracing JSON of the whole run.
+//    Tracing adds bookkeeping to the timed path, so compare wall numbers
+//    only between untraced runs.)
 
 #include <chrono>
 #include <thread>
@@ -41,6 +47,8 @@
 #include "src/keylime/verifier.h"
 #include "src/machine/machine.h"
 #include "src/obs/obs.h"
+#include "src/sim/offload.h"
+#include "src/sim/random.h"
 
 namespace {
 
@@ -54,21 +62,55 @@ double MillisSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-// The verifier's cumulative pipeline counters; rows report differences.
+// Cumulative pipeline counters (verifier, TPMs, offload queue); rows
+// report differences.
 struct Pipeline {
   uint64_t offloaded = 0;
   uint64_t drained = 0;
   uint64_t join_wait_ns = 0;
+  uint64_t presigned = 0;
+  uint64_t resigned = 0;
+  uint64_t thread_jobs = 0;
+  uint64_t waiter_jobs = 0;
 
-  static Pipeline Read(const bolted::keylime::Verifier& v) {
-    return {v.fleet_batches_offloaded(), v.fleet_batches_drained(),
-            v.fleet_join_wait_ns()};
+  static Pipeline Read(
+      const bolted::keylime::Verifier& v,
+      const std::vector<std::unique_ptr<bolted::machine::Machine>>& machines,
+      const bolted::sim::OffloadQueue& queue) {
+    Pipeline p{v.fleet_batches_offloaded(), v.fleet_batches_drained(),
+               v.fleet_join_wait_ns()};
+    for (const auto& m : machines) {
+      p.presigned += m->tpm().quotes_presigned();
+      p.resigned += m->tpm().quotes_resigned();
+    }
+    p.thread_jobs = queue.thread_runs();
+    p.waiter_jobs = queue.waiter_runs();
+    return p;
   }
   Pipeline operator-(const Pipeline& o) const {
-    return {offloaded - o.offloaded, drained - o.drained,
-            join_wait_ns - o.join_wait_ns};
+    return {offloaded - o.offloaded,     drained - o.drained,
+            join_wait_ns - o.join_wait_ns, presigned - o.presigned,
+            resigned - o.resigned,       thread_jobs - o.thread_jobs,
+            waiter_jobs - o.waiter_jobs};
   }
 };
+
+// One human-readable line of pipeline telemetry.
+std::string Describe(const Pipeline& p) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "%llu batches off-thread, %llu drained at the join, %.1f us join "
+                "wait; %llu quotes presigned, %llu re-signed; jobs %llu on queue "
+                "threads, %llu on waiters",
+                static_cast<unsigned long long>(p.offloaded),
+                static_cast<unsigned long long>(p.drained),
+                static_cast<double>(p.join_wait_ns) / 1e3,
+                static_cast<unsigned long long>(p.presigned),
+                static_cast<unsigned long long>(p.resigned),
+                static_cast<unsigned long long>(p.thread_jobs),
+                static_cast<unsigned long long>(p.waiter_jobs));
+  return buf;
+}
 
 // "auto" for workers = 0 (one per hardware thread).
 std::string WorkersLabel(int workers) {
@@ -84,7 +126,7 @@ int main(int argc, char** argv) {
   int fleet_size = kDefaultFleetSize;
   int steady_rounds = kDefaultSteadyRounds;
   int batch_size = keylime::Verifier::FleetOptions{}.batch_size;
-  int workers = keylime::Verifier::FleetOptions{}.workers;
+  int workers = 0;
   bool sweep = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0 && argv[i][8] != '\0') {
@@ -110,7 +152,22 @@ int main(int argc, char** argv) {
   }
   const int kFleetSize = fleet_size;
 
+  // Queues for --workers and the sweep, declared before the simulation
+  // they are attached to; each is kept until exit.
+  std::vector<std::unique_ptr<sim::OffloadQueue>> queues;
   sim::Simulation sim{1234};
+  // workers = N: the simulation thread plus N-1 queue threads; 0: the
+  // process-wide queue.  Only switched between rounds, with no job in
+  // flight.
+  auto use_workers = [&](int w) {
+    if (w == 0) {
+      sim.set_offload(nullptr);
+      return;
+    }
+    queues.push_back(std::make_unique<sim::OffloadQueue>(static_cast<uint32_t>(w - 1)));
+    sim.set_offload(queues.back().get());
+  };
+  use_workers(workers);
 #if BOLTED_OBS
   std::unique_ptr<obs::Registry> registry;
   if (trace_path != nullptr) {
@@ -126,7 +183,7 @@ int main(int argc, char** argv) {
   net::Endpoint& verifier_ep = fabric.CreateEndpoint("verifier");
   keylime::Registrar registrar(sim, registrar_ep, 1);
   keylime::Verifier verifier(sim, verifier_ep, registrar_ep.address(), 2);
-  verifier.SetFleetOptions({.workers = workers, .batch_size = batch_size});
+  verifier.SetFleetOptions({.batch_size = batch_size});
   fabric.AttachToVlan(registrar_ep.address(), kAttestationVlan);
   fabric.AttachToVlan(verifier_ep.address(), kAttestationVlan);
 
@@ -140,7 +197,12 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   machines.reserve(kFleetSize);
   agents.reserve(kFleetSize);
+  // A fleet of mixed TPM parts: each node's quote latency is drawn between
+  // 1 and 2 simulated seconds.
+  sim::Rng parts(1234 ^ 0x74706du);
   for (int i = 0; i < kFleetSize; ++i) {
+    mc.tpm_latency.quote = sim::Duration::Microseconds(
+        1'000'000 + static_cast<int64_t>(parts.NextBelow(1'000'000)));
     names.push_back("node-" + std::to_string(i));
     machines.push_back(
         std::make_unique<machine::Machine>(sim, fabric, names.back(), mc));
@@ -219,7 +281,10 @@ int main(int argc, char** argv) {
   double steady_total_ms = 0;
   double steady_max_ms = 0;
   const uint64_t steady_events_start = sim.events_processed();
-  const Pipeline steady_pipeline_start = Pipeline::Read(verifier);
+  const auto read_pipeline = [&] {
+    return Pipeline::Read(verifier, machines, sim.offload());
+  };
+  const Pipeline steady_pipeline_start = read_pipeline();
   for (int r = 0; r < steady_rounds; ++r) {
     const double ms = poll_round();
     steady_total_ms += ms;
@@ -228,7 +293,7 @@ int main(int argc, char** argv) {
     }
   }
   const uint64_t steady_events = sim.events_processed() - steady_events_start;
-  const Pipeline steady_pipeline = Pipeline::Read(verifier) - steady_pipeline_start;
+  const Pipeline steady_pipeline = read_pipeline() - steady_pipeline_start;
   if (!check_round("attestation")) {
     return 1;
   }
@@ -253,10 +318,11 @@ int main(int argc, char** argv) {
   };
   std::vector<SweepRow> sweep_rows;
   auto sweep_round = [&](int b, int w) -> bool {
-    verifier.SetFleetOptions({.workers = w, .batch_size = b});
-    const Pipeline before = Pipeline::Read(verifier);
+    verifier.SetFleetOptions({.batch_size = b});
+    use_workers(w);
+    const Pipeline before = read_pipeline();
     const double ms = poll_round();
-    sweep_rows.push_back({b, w, ms, Pipeline::Read(verifier) - before});
+    sweep_rows.push_back({b, w, ms, read_pipeline() - before});
     return check_round("sweep round");
   };
   if (sweep) {
@@ -266,17 +332,18 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    // Worker rounds verify sealed batches on the persistent, unpinned
-    // sim::WorkerPool while the round runs (real cores when the host has
-    // them; on a single-core host the rows measure pool overhead
-    // honestly).  0 is the default: one worker per hardware thread.
+    // Worker rounds sign quotes and verify sealed batches on an offload
+    // queue of w-1 threads while the round runs (real cores when the host
+    // has them; on a single-core host the rows measure queue overhead
+    // honestly).  0 is the default: the process-wide queue.
     const int worker_counts[] = {0, 2, 4, 8};
     for (const int w : worker_counts) {
       if (!sweep_round(batch_size, w)) {
         return 1;
       }
     }
-    verifier.SetFleetOptions({.workers = workers, .batch_size = batch_size});
+    verifier.SetFleetOptions({.batch_size = batch_size});
+    use_workers(workers);
   }
   const double legacy_ms = legacy_round();
   if (!check_round("legacy round")) {
@@ -314,7 +381,11 @@ int main(int argc, char** argv) {
                "  \"boot_log_cache_misses\": %llu,\n"
                "  \"pipeline_batches_offloaded\": %llu,\n"
                "  \"pipeline_batches_drained\": %llu,\n"
-               "  \"pipeline_join_wait_us\": %.1f,\n",
+               "  \"pipeline_join_wait_us\": %.1f,\n"
+               "  \"pipeline_quotes_presigned\": %llu,\n"
+               "  \"pipeline_quotes_resigned\": %llu,\n"
+               "  \"pipeline_jobs_on_queue_threads\": %llu,\n"
+               "  \"pipeline_jobs_on_waiters\": %llu,\n",
                kFleetSize, steady_rounds, batch_size, workers,
                std::thread::hardware_concurrency(), first_round_ms,
                steady_mean_ms, steady_max_ms, per_node_us, legacy_ms,
@@ -331,18 +402,28 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(verifier.boot_log_cache_misses()),
                static_cast<unsigned long long>(steady_pipeline.offloaded),
                static_cast<unsigned long long>(steady_pipeline.drained),
-               static_cast<double>(steady_pipeline.join_wait_ns) / 1e3);
+               static_cast<double>(steady_pipeline.join_wait_ns) / 1e3,
+               static_cast<unsigned long long>(steady_pipeline.presigned),
+               static_cast<unsigned long long>(steady_pipeline.resigned),
+               static_cast<unsigned long long>(steady_pipeline.thread_jobs),
+               static_cast<unsigned long long>(steady_pipeline.waiter_jobs));
   std::fprintf(f, "  \"sweep\": [");
   for (size_t i = 0; i < sweep_rows.size(); ++i) {
     const SweepRow& row = sweep_rows[i];
     std::fprintf(f,
                  "%s\n    {\"batch_size\": %d, \"workers\": %d, \"round_wall_ms\": %.3f, "
                  "\"batches_offloaded\": %llu, \"batches_drained\": %llu, "
-                 "\"join_wait_us\": %.1f}",
+                 "\"join_wait_us\": %.1f, \"quotes_presigned\": %llu, "
+                 "\"quotes_resigned\": %llu, \"jobs_on_queue_threads\": %llu, "
+                 "\"jobs_on_waiters\": %llu}",
                  i == 0 ? "" : ",", row.batch, row.workers, row.ms,
                  static_cast<unsigned long long>(row.pipeline.offloaded),
                  static_cast<unsigned long long>(row.pipeline.drained),
-                 static_cast<double>(row.pipeline.join_wait_ns) / 1e3);
+                 static_cast<double>(row.pipeline.join_wait_ns) / 1e3,
+                 static_cast<unsigned long long>(row.pipeline.presigned),
+                 static_cast<unsigned long long>(row.pipeline.resigned),
+                 static_cast<unsigned long long>(row.pipeline.thread_jobs),
+                 static_cast<unsigned long long>(row.pipeline.waiter_jobs));
   }
   std::fprintf(f, "%s]\n}\n", sweep_rows.empty() ? "" : "\n  ");
   std::fclose(f);
@@ -356,23 +437,16 @@ int main(int argc, char** argv) {
   std::printf("legacy per-node round:             %8.1f ms wall\n", legacy_ms);
   std::printf("steady event rate:                 %8.0f events/s (%.1f ns/event)\n",
               events_per_second, ns_per_event);
-  std::printf("steady pipeline: %llu batches off-thread, %llu drained at the join, "
-              "%.1f us join wait\n",
-              static_cast<unsigned long long>(steady_pipeline.offloaded),
-              static_cast<unsigned long long>(steady_pipeline.drained),
-              static_cast<double>(steady_pipeline.join_wait_ns) / 1e3);
+  std::printf("steady pipeline: %s\n", Describe(steady_pipeline).c_str());
   std::printf("AIK cache: %llu hits / %llu misses; boot-log cache: %llu / %llu\n",
               static_cast<unsigned long long>(verifier.aik_cache_hits()),
               static_cast<unsigned long long>(verifier.aik_cache_misses()),
               static_cast<unsigned long long>(verifier.boot_log_cache_hits()),
               static_cast<unsigned long long>(verifier.boot_log_cache_misses()));
   for (const SweepRow& row : sweep_rows) {
-    std::printf("sweep batch=%-4d workers=%-4s:      %8.1f ms wall "
-                "(%llu off-thread, %llu drained, %.1f us join wait)\n",
+    std::printf("sweep batch=%-4d workers=%-4s:      %8.1f ms wall (%s)\n",
                 row.batch, WorkersLabel(row.workers).c_str(), row.ms,
-                static_cast<unsigned long long>(row.pipeline.offloaded),
-                static_cast<unsigned long long>(row.pipeline.drained),
-                static_cast<double>(row.pipeline.join_wait_ns) / 1e3);
+                Describe(row.pipeline).c_str());
   }
   std::printf("wrote %s\n", out_path);
 #if BOLTED_OBS

@@ -115,17 +115,21 @@ if [[ "${want_tsan}" == 1 ]]; then
   echo "== sanitizers: sharded runtime + fleet verifier under TSan =="
   # TSan is the sanitizer that matters for the threaded code: the
   # shard-pair outboxes handed across the run/route barrier, the worker
-  # pool, and the fleet verifier's batch pipeline are the only cross-thread
-  # code in the tree.  The sharding suite drives the first two (plus a
-  # multi-threaded fleet_sharding sweep for the window loop at scale).
+  # pool, and the offload queue (quote signing and the fleet verifier's
+  # batches) are the only cross-thread code in the tree.  The sharding
+  # suite drives the first two (plus a multi-threaded fleet_sharding sweep
+  # for the window loop at scale).
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
   cmake --build build-tsan -j --target sharding_test fleet_sharding \
-    net_fastpath_test scenario_soak_test attestation_batch_test
+    net_fastpath_test scenario_soak_test attestation_batch_test offload_test
   ./build-tsan/tests/sharding_test
-  # Fleet rounds verify sealed quote batches on pool threads while the
-  # simulation thread keeps running events; the attestation suite's
-  # multi-worker fleet tests (incl. removal and teardown mid-round) are
-  # the TSan workload for that hand-off.
+  # Queue threads sign quotes while their TPM commands' latency elapses and
+  # verify sealed quote batches while the simulation thread keeps running
+  # events; the offload suite (queue hand-off, speculative quotes, owners
+  # destroyed with jobs queued) and the attestation suite's fleet tests
+  # over queue sizes (incl. removal and teardown mid-round) are the TSan
+  # workload for that hand-off.
+  ./build-tsan/tests/offload_test
   ./build-tsan/tests/attestation_batch_test
   # The burst engine runs inside the sharded workers (per-rack Networks,
   # uplink ingress via InjectFrame); the fast-path suite's sharded cases

@@ -167,8 +167,15 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
     co_return;
   }
   // A faulted quote command still burns the command time (plus any injected
-  // latency spike) before the agent reports the error.
+  // latency spike) before the agent reports the error, and signs nothing.
+  // A healthy one starts its signature on a host thread now and picks it
+  // up once the command's latency has elapsed (DESIGN.md §11); the handle
+  // is all the frame keeps.
   const tpm::TpmFault fault = machine_.tpm().TakeFault("quote");
+  tpm::PendingQuote pending;
+  if (!fault.fail) {
+    pending = machine_.tpm().BeginQuote(nonce, mask, machine_.simulation().offload());
+  }
   co_await sim::Delay(machine_.simulation(),
                       machine_.tpm().latency().quote + fault.extra_latency);
   ObserveTpmCommand(machine_.simulation(), "quote",
@@ -178,7 +185,7 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
     response->kind = "kl.agent.error";
     co_return;
   }
-  const tpm::Quote quote = machine_.tpm().MakeQuote(nonce, mask);
+  const tpm::Quote quote = machine_.tpm().FinishQuote(std::move(pending));
   ++quotes_served_;
 
   const tpm::EventLog empty;

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "src/crypto/ecies.h"
 #include "src/keylime/agent.h"
 #include "src/net/wire.h"
 #include "src/obs/obs.h"
-#include "src/sim/shard.h"
+#include "src/sim/offload.h"
 #include "src/tpm/tpm.h"
 
 namespace bolted::keylime {
@@ -53,6 +50,14 @@ std::shared_ptr<const crypto::P256::PreparedKey> PrepareAik(crypto::ByteView wir
     return nullptr;
   }
   return std::make_shared<const crypto::P256::PreparedKey>(*std::move(prepared));
+}
+
+// Decodes a quote onto the heap, where a fleet batch can share it; null
+// when malformed.  A plain function, so the decoded quote never sits in a
+// coroutine frame.
+std::shared_ptr<const tpm::Quote> ParseQuote(crypto::ByteView wire) {
+  auto quote = tpm::Quote::Deserialize(wire);
+  return quote ? std::make_shared<const tpm::Quote>(*std::move(quote)) : nullptr;
 }
 
 constexpr std::string_view kNodeRemoved = "node removed during verification";
@@ -271,7 +276,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, uint64_t incarnation,
     co_return;
   }
   net::WireReader reader(quote_response.payload);
-  out->quote = tpm::Quote::Deserialize(reader.Blob());
+  out->quote = ParseQuote(reader.Blob());
   out->boot = ReplayBootLog(reader.Blob());
   out->ima_total = reader.U64();
   out->ima_log = tpm::EventLog::Deserialize(reader.Blob());
@@ -389,156 +394,104 @@ sim::Task Verifier::FinishVerification(const std::string& name, uint64_t incarna
   result->passed = true;
 }
 
-// One fleet round's signature pipeline (DESIGN.md §11).  The simulation
-// thread appends every landed quote to the open batch and seals the batch
-// when it is full; pool threads 1..workers-1, launched for the whole
-// round, verify sealed batches while the simulation keeps running.  At
-// the join the simulation thread seals the partial batch, verifies
-// whatever no pool thread has claimed, and joins the pool.
-//
-// Happens-before: a batch's entries are written before the seal that
-// publishes it under `mu`; a thread claims it under `mu`; its verdicts and
-// stats are written by that one thread and read only after the join
-// (WorkerPool::Join's acquire, or the same thread).  Batch membership is
-// fixed by landing order and batch_size alone, never by which thread
-// verifies it.
-struct Verifier::FleetRound {
-  FleetRound(size_t max_quotes, size_t batch_size)
-      : batch_size(batch_size),
-        entries(max_quotes),
-        exchange_of(max_quotes),
-        ok(new bool[max_quotes]()),
-        ends((max_quotes + batch_size - 1) / batch_size),
-        stats(ends.size()) {}
-  // A round whose coroutine is destroyed mid-flight (its simulation torn
-  // down) still joins, so the pool never runs a job that is gone.
-  ~FleetRound() { Release(); }
+// One sealed batch of a fleet round, run as one offload job: the quotes
+// and keys it checks (shared with their exchanges, so a round torn down
+// mid-flight leaves the batch whole) and the verdicts and stats written
+// by whichever thread runs it.
+struct Verifier::FleetBatch final : sim::OffloadQueue::Job {
+  void Run() override {
+    std::vector<tpm::Tpm::QuoteBatchEntry> entries(quotes.size());
+    for (size_t i = 0; i < quotes.size(); ++i) {
+      entries[i] = {quotes[i].get(), aiks[i].get()};
+    }
+    ok.reset(new bool[quotes.size()]);
+    tpm::Tpm::VerifyQuoteBatch(entries, ok.get(), &stats);
+  }
 
-  // Simulation thread: a landed quote joins the open batch.
-  void Land(size_t index, const tpm::Quote* quote,
-            const crypto::P256::PreparedKey* aik) {
-    entries[landed] = {quote, aik};
-    exchange_of[landed] = index;
-    if (++landed % batch_size == 0) {
+  std::vector<std::shared_ptr<const tpm::Quote>> quotes;
+  std::vector<std::shared_ptr<const crypto::P256::PreparedKey>> aiks;
+  std::vector<size_t> exchange_of;  // batch position -> exchange index
+  std::unique_ptr<bool[]> ok;       // batch position -> signature verdict
+  crypto::P256::BatchStats stats{};
+};
+
+// One fleet round's batches (DESIGN.md §11).  The simulation thread
+// appends every landed quote to the open batch and submits the batch to
+// the offload queue when it is full; at the join it submits the partial
+// batch and waits on every batch.  Batch membership is fixed by
+// landing order and batch_size alone, never by which thread verifies it.
+struct Verifier::FleetRound {
+  FleetRound(sim::OffloadQueue& queue, size_t batch_size)
+      : queue(queue), batch_size(batch_size) {}
+
+  void Land(size_t index, const QuoteExchange& ex) {
+    if (open == nullptr) {
+      open = std::make_shared<FleetBatch>();
+    }
+    open->quotes.push_back(ex.quote);
+    open->aiks.push_back(ex.aik);
+    open->exchange_of.push_back(index);
+    ++landed;
+    if (open->quotes.size() == batch_size) {
       Seal();
     }
   }
   void Seal() {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      ends[sealed++] = landed;
-    }
-    ready.notify_one();
-  }
-  // Simulation thread: no more quotes will land.
-  void Close() {
-    if (landed % batch_size != 0) {
-      Seal();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      closed = true;
-    }
-    ready.notify_all();
-  }
-  // Verifies sealed batches until the round is closed and every batch is
-  // claimed; returns how many this thread verified.
-  size_t Work() {
-    size_t verified = 0;
-    for (;;) {
-      size_t b = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        ready.wait(lock, [&] { return claimed < sealed || closed; });
-        if (claimed == sealed) {
-          return verified;
-        }
-        b = claimed++;
-      }
-      const size_t begin = b * batch_size;
-      tpm::Tpm::VerifyQuoteBatch({entries.data() + begin, ends[b] - begin},
-                                 ok.get() + begin, &stats[b]);
-      ++verified;
-    }
-  }
-  // Closes the round (if still open), joins the pool (if this round
-  // launched it) and hands the pool back to the verifier.
-  void Release() {
-    if (pool == nullptr) {
-      return;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      closed = true;
-    }
-    ready.notify_all();
-    pool->Join();
-    pool = nullptr;
-    owner->pool_round_ = nullptr;
+    queue.Submit(open);
+    sealed.push_back(std::move(open));
+    open = nullptr;
   }
 
+  sim::OffloadQueue& queue;
   const size_t batch_size;
-  std::vector<tpm::Tpm::QuoteBatchEntry> entries;  // landing order
-  std::vector<size_t> exchange_of;  // landing position -> exchange index
-  std::unique_ptr<bool[]> ok;       // landing position -> signature verdict
-  std::vector<size_t> ends;         // batch -> one past its last position
-  std::vector<crypto::P256::BatchStats> stats;  // batch -> its VerifyBatch stats
-  size_t landed = 0;                // simulation thread only
-  std::mutex mu;
-  std::condition_variable ready;
-  size_t sealed = 0;    // guarded by mu; written by the simulation thread
-  size_t claimed = 0;   // guarded by mu
-  bool closed = false;  // guarded by mu
-  const std::function<void(uint32_t)> job = [this](uint32_t) { Work(); };
-  // Set together from Launch until Release: the launched pool, and the
-  // verifier whose pool_round_ this round is.
-  sim::WorkerPool* pool = nullptr;
-  Verifier* owner = nullptr;
+  std::shared_ptr<FleetBatch> open;
+  std::vector<std::shared_ptr<FleetBatch>> sealed;  // submission order
+  size_t landed = 0;
 };
-
-Verifier::~Verifier() {
-  // A round still in flight (its simulation outlives this verifier) must
-  // stop using the pool before the pool goes away.
-  if (pool_round_ != nullptr) {
-    pool_round_->Release();
-  }
-}
 
 sim::Task Verifier::FetchIntoRound(const std::string& name, uint64_t incarnation,
                                    QuoteExchange* out, FleetRound* round,
                                    size_t index) {
   co_await FetchQuote(name, incarnation, out);
   if (out->failure.empty()) {
-    round->Land(index, &*out->quote, out->aik.get());
+    round->Land(index, *out);
   }
 }
 
 void Verifier::JoinRound(FleetRound& round) {
-  round.Close();
-  const size_t drained = round.Work();
-  if (round.pool != nullptr) {
+  if (round.open != nullptr) {
+    round.Seal();
+  }
+  // Last batch first: queue threads take batches from the front, so the
+  // simulation thread runs the ones no thread has reached yet instead of
+  // blocking behind them.  Which thread verifies a batch changes nothing
+  // observable; the bookkeeping below stays in batch order.
+  for (auto it = round.sealed.rbegin(); it != round.sealed.rend(); ++it) {
+    const std::shared_ptr<FleetBatch>& batch = *it;
     const auto wait_start = std::chrono::steady_clock::now();
-    round.Release();
+    if (round.queue.Wait(*batch)) {
+      ++fleet_batches_drained_;
+      continue;
+    }
+    ++fleet_batches_offloaded_;
     fleet_join_wait_ns_ += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wait_start)
             .count());
   }
-  fleet_batches_drained_ += drained;
-  fleet_batches_offloaded_ += round.sealed - drained;
 
   // Bookkeeping in batch order, on the simulation thread (obs must not be
-  // touched from the pool threads).
+  // touched from the queue threads).
   batched_verifications_ += round.landed;
   obs::Record(sim_, "keylime.shard_quotes", round.landed);
   uint32_t bisections = 0;
-  for (size_t b = 0; b < round.sealed; ++b) {
-    const crypto::P256::BatchStats& stats = round.stats[b];
+  for (const std::shared_ptr<FleetBatch>& batch : round.sealed) {
+    const crypto::P256::BatchStats& stats = batch->stats;
     bisections += stats.bisections;
     batch_stats_.bisections += stats.bisections;
     batch_stats_.sqrt_recoveries += stats.sqrt_recoveries;
     batch_stats_.rejected_hints += stats.rejected_hints;
-    obs::Record(sim_, "keylime.batch_size", round.ends[b] - b * round.batch_size);
+    obs::Record(sim_, "keylime.batch_size", batch->quotes.size());
   }
   if (bisections != 0) {
     obs::Count(sim_, "keylime.batch_bisections", bisections);
@@ -552,21 +505,7 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
       static_cast<size_t>(std::max(1, fleet_options_.batch_size));
   std::vector<QuoteExchange> exchanges(n);
   std::vector<uint64_t> incarnations(n, 0);
-  FleetRound round(n, batch_size);
-  // The pool only pays when a full batch can be sealed before the join,
-  // and it runs one round's pipeline at a time.
-  const size_t workers = fleet_options_.workers > 0
-                             ? static_cast<size_t>(fleet_options_.workers)
-                             : std::max(1u, std::thread::hardware_concurrency());
-  if (workers > 1 && n > batch_size && pool_round_ == nullptr) {
-    if (worker_pool_ == nullptr || worker_pool_->threads() != workers) {
-      worker_pool_ = std::make_unique<sim::WorkerPool>(static_cast<uint32_t>(workers));
-    }
-    worker_pool_->Launch(round.job);
-    round.pool = worker_pool_.get();
-    round.owner = this;
-    pool_round_ = &round;
-  }
+  FleetRound round(sim_.offload(), batch_size);
 
   sim::TaskGroup group(sim_);
   for (size_t i = 0; i < n; ++i) {
@@ -582,12 +521,14 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
   }
   co_await group.WaitAll();
 
-  // Host CPU only: the join schedules no sim event, so batch size and
-  // worker count cannot perturb the event sequence.
+  // Host CPU only: the join schedules no sim event, so neither the batch
+  // size nor the queue's thread count can perturb the event sequence.
   JoinRound(round);
   std::vector<uint8_t> signature_ok(n, 0);
-  for (size_t p = 0; p < round.landed; ++p) {
-    signature_ok[round.exchange_of[p]] = round.ok[p] ? 1 : 0;
+  for (const std::shared_ptr<FleetBatch>& batch : round.sealed) {
+    for (size_t p = 0; p < batch->exchange_of.size(); ++p) {
+      signature_ok[batch->exchange_of[p]] = batch->ok[p] ? 1 : 0;
+    }
   }
 
   // Verdicts in submission order; each node's post-signature pipeline

@@ -34,10 +34,6 @@
 #include "src/tpm/event_log.h"
 #include "src/tpm/tpm.h"
 
-namespace bolted::sim {
-class WorkerPool;
-}  // namespace bolted::sim
-
 namespace bolted::keylime {
 
 struct Whitelist {
@@ -63,8 +59,6 @@ class Verifier {
  public:
   Verifier(sim::Simulation& sim, net::Endpoint& endpoint, net::Address registrar,
            uint64_t seed);
-  // Out of line: worker_pool_ is forward-declared here.
-  ~Verifier();
 
   net::Address address() const { return node_.address(); }
 
@@ -99,19 +93,15 @@ class Verifier {
   // node's track plus pass/fail counters.
   sim::Task VerifyNode(const std::string& name, VerificationResult* result);
 
-  // Fleet poll-round knobs.  Both are HOST-SIDE only: they change how much
-  // CPU the signature checks cost and when it is spent, never the
-  // simulation's event sequence.  Verdicts and trace digests are
-  // byte-identical for every batch size and worker count; the obs registry
-  // and batch_stats() for every worker count (the batch size decides how
+  // Fleet poll-round knob.  HOST-SIDE only: it changes how much CPU the
+  // signature checks cost, never the simulation's event sequence.
+  // Verdicts and trace digests are byte-identical for every batch size;
+  // the obs registry and batch_stats() are not (the batch size decides how
   // quotes group, so what is recorded per batch and which quotes share a
-  // bisection).
+  // bisection).  How many threads check the batches is the simulation's
+  // offload queue's business (Simulation::offload), and changes nothing
+  // observable at all.
   struct FleetOptions {
-    // Threads checking signatures: the simulation thread plus workers - 1
-    // pool threads that verify sealed batches while the round is still
-    // running.  0 means std::thread::hardware_concurrency(); 1 is the
-    // single-threaded oracle, which checks every batch at the round's end.
-    int workers = 0;
     // Quotes per Tpm::VerifyQuoteBatch call, grouped in the order they
     // land.
     int batch_size = 64;
@@ -120,11 +110,11 @@ class Verifier {
 
   // One poll round over the whole fleet: fans the nonce/quote exchanges out
   // concurrently, appends every quote to the round's open batch as it
-  // lands, hands each full batch to the worker pool for
-  // Tpm::VerifyQuoteBatch while the simulation keeps running, joins after
-  // the last exchange, and completes each node's replay/whitelist pipeline
-  // in submission order (DESIGN.md §11).  results[i] is exactly what
-  // VerifyNode(names[i], ...) would produce.
+  // lands, submits each full batch to the simulation's offload queue for
+  // Tpm::VerifyQuoteBatch while the simulation keeps running, waits on the
+  // batches in order after the last exchange, and completes each node's
+  // replay/whitelist pipeline in submission order (DESIGN.md §11).
+  // results[i] is exactly what VerifyNode(names[i], ...) would produce.
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
@@ -160,10 +150,10 @@ class Verifier {
   const crypto::P256::BatchStats& batch_stats() const { return batch_stats_; }
   // Host-side pipeline telemetry, cumulative across fleet rounds.  These
   // depend on host timing, so they stay out of the deterministic obs
-  // registry: batches a pool thread verified while the round ran, batches
-  // the simulation thread verified itself at the join (all of them when
-  // workers = 1), and host nanoseconds the simulation thread then spent
-  // blocked until the pool threads finished.
+  // registry: batches a queue thread verified, batches the simulation
+  // thread verified itself at the join (all of them on a zero-thread
+  // queue), and host nanoseconds the simulation thread spent blocked at
+  // the join on batches a queue thread was still verifying.
   uint64_t fleet_batches_offloaded() const { return fleet_batches_offloaded_; }
   uint64_t fleet_batches_drained() const { return fleet_batches_drained_; }
   uint64_t fleet_join_wait_ns() const { return fleet_join_wait_ns_; }
@@ -214,7 +204,9 @@ class Verifier {
   // the parsed quote plus decoded logs and the keys it was checked with.
   struct QuoteExchange {
     std::string failure;  // nonempty = failed before the signature stage
-    std::optional<tpm::Quote> quote;
+    // Shared with the fleet batch that checks its signature, which may
+    // still be running on a queue thread after this exchange is gone.
+    std::shared_ptr<const tpm::Quote> quote;
     std::shared_ptr<const crypto::P256::PreparedKey> aik;
     crypto::EcPoint nk;
     const BootReplay* boot = nullptr;
@@ -223,7 +215,8 @@ class Verifier {
     crypto::Bytes nonce;
   };
 
-  // One VerifyFleet round's signature pipeline (defined in verifier.cc).
+  // One VerifyFleet round's signature batches (defined in verifier.cc).
+  struct FleetBatch;
   struct FleetRound;
 
   // The node's state while `name` still names the `incarnation` a flow
@@ -265,15 +258,6 @@ class Verifier {
   int max_transient_strikes_ = 3;
   uint64_t next_incarnation_ = 0;
   FleetOptions fleet_options_;
-  // Persistent, unpinned worker team for the fleet poll rounds
-  // (sim::WorkerPool, the sharded-simulation runtime's pool): built lazily
-  // on the first multi-worker round and kept across rounds, so
-  // steady-state polling pays no thread spawn/join.  Rebuilt only when
-  // `workers` changes.
-  std::unique_ptr<sim::WorkerPool> worker_pool_;
-  // The round whose pipeline holds worker_pool_'s launch, if any.  A
-  // round that overlaps it verifies its own batches at its join.
-  FleetRound* pool_round_ = nullptr;
   // Keyed on SHA-256 of the log's wire bytes; std::map keeps entries
   // pointer-stable for the QuoteExchange references.  Bounded by the number
   // of distinct firmware images the fleet runs, not by fleet size.

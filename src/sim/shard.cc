@@ -113,23 +113,16 @@ void WorkerPool::WorkerMain(uint32_t index) {
 }
 
 void WorkerPool::RunOnAll(const std::function<void(uint32_t)>& job) {
-  Launch(job);
-  job(0);
-  Join();
-}
-
-void WorkerPool::Launch(const std::function<void(uint32_t)>& job) {
   if (threads_ == 1) {
-    return;  // the single-threaded oracle path: no synchronization at all
+    job(0);  // the single-threaded oracle path: no synchronization at all
+    return;
   }
   // job_ and running_ are published by the epoch bump's release.
   job_ = &job;
   running_.store(threads_ - 1, std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
-}
-
-void WorkerPool::Join() {
+  job(0);
   for (uint32_t left; (left = running_.load(std::memory_order_acquire)) != 0;) {
     running_.wait(left, std::memory_order_acquire);
   }

@@ -86,9 +86,8 @@ struct CrossShardFrame {
 // Persistent team of worker threads.  Thread 0 is the calling thread, so
 // WorkerPool(1) is a plain inline call with no thread machinery — the
 // single-threaded oracle path.  Reused across calls (the sharded fleet
-// dispatches one RunOnAll per parallel window, the fleet verifier one
-// Launch/Join per poll round), so worker threads keep their core pinning
-// and warm caches.
+// dispatches one RunOnAll per parallel window), so worker threads keep
+// their core pinning and warm caches.
 class WorkerPool {
  public:
   // Spawns threads-1 workers; with pin=true each thread (including the
@@ -102,18 +101,9 @@ class WorkerPool {
   uint32_t threads() const { return threads_; }
 
   // Invokes job(t) for every t in [0, threads) concurrently — t = 0 runs
-  // on the calling thread — and returns when all invocations finished.
-  // Exactly Launch(job), job(0), Join().
+  // on the calling thread — and returns when all invocations finished,
+  // with every worker's writes published to the caller.
   void RunOnAll(const std::function<void(uint32_t)>& job);
-
-  // The two halves of RunOnAll, for a caller that has other work to do
-  // while the workers run: Launch starts job(t) for every t in
-  // [1, threads) and returns at once; Join waits until they all finished
-  // and publishes their writes to the caller.  `job` must outlive the
-  // Join.  One launch at a time: a Launch must be joined before the next
-  // Launch or RunOnAll, and before the pool is destroyed.
-  void Launch(const std::function<void(uint32_t)>& job);
-  void Join();
 
  private:
   void WorkerMain(uint32_t index);
@@ -121,9 +111,9 @@ class WorkerPool {
 
   uint32_t threads_;
   bool pin_;
-  // Dispatch: Launch sets job_ and running_, then bumps epoch_ (release)
+  // Dispatch: RunOnAll sets job_ and running_, then bumps epoch_ (release)
   // to wake the workers; each worker decrements running_ when done, and
-  // the last one wakes the caller blocked in Join.  Both waits are
+  // the last one wakes the caller waiting to return.  Both waits are
   // std::atomic::wait.
   const std::function<void(uint32_t)>* job_ = nullptr;
   bool stop_ = false;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/obs/obs.h"
+#include "src/sim/offload.h"
 #include "src/sim/task.h"
 
 namespace bolted::sim {
@@ -41,6 +42,10 @@ EventId Simulation::ScheduleAt(Time when, EventFn fn) {
 }
 
 void Simulation::Cancel(EventId id) { scheduler_->Cancel(id); }
+
+OffloadQueue& Simulation::offload() const {
+  return offload_ != nullptr ? *offload_ : OffloadQueue::Shared();
+}
 
 void Simulation::RecordTraceEvent(uint64_t tag) {
   trace_digest_ = MixDigest(

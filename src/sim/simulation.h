@@ -31,6 +31,7 @@ class Registry;
 
 namespace bolted::sim {
 
+class OffloadQueue;
 class Task;
 
 class Simulation {
@@ -97,6 +98,17 @@ class Simulation {
   obs::Registry* observer() const { return observer_; }
   void set_observer(obs::Registry* observer) { observer_ = observer; }
 
+  // --- Host offload -------------------------------------------------------
+  // Where this simulation's components hand pure CPU work (TPM quote
+  // signatures, quote-batch verification) to run beside the event loop
+  // (src/sim/offload.h): the process-wide OffloadQueue::Shared() unless a
+  // queue is attached.  Tests and benches attach queues of chosen sizes —
+  // a zero-thread queue is the inline oracle.  The attached queue must
+  // outlive this simulation, and is only swapped while no job is in
+  // flight.
+  OffloadQueue& offload() const;
+  void set_offload(OffloadQueue* queue) { offload_ = queue; }
+
   // Takes ownership of a coroutine task and starts it.  The task is
   // destroyed once it completes.
   void Spawn(Task task);
@@ -114,6 +126,7 @@ class Simulation {
   std::unique_ptr<Scheduler> scheduler_;
   uint64_t trace_digest_ = 0x626f6c746564u;
   obs::Registry* observer_ = nullptr;
+  OffloadQueue* offload_ = nullptr;
   std::vector<Task> live_tasks_;
   // Wrap-around cursor for ReapTasksIncremental, so the periodic in-run
   // reap scans a bounded slice of live_tasks_ instead of the whole vector

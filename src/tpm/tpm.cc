@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/crypto/hmac.h"
+#include "src/sim/offload.h"
 
 namespace bolted::tpm {
 namespace {
@@ -18,7 +19,30 @@ crypto::Bytes CredentialKdfInfo(const crypto::EcPoint& aik_public) {
   return info;
 }
 
+// Signs `quote` in place with `aik`, in the batch-friendly even-y form,
+// and ships the nonce point as the verifier's batch hint (the digest does
+// not cover it; see Quote::r_hint).  The one signing implementation:
+// MakeQuote and the speculative QuoteJob both end here.
+void SignQuote(const crypto::U256& aik, Quote& quote) {
+  crypto::EcPoint nonce_point;
+  quote.signature =
+      crypto::P256::Instance().Sign(aik, quote.MessageDigest(), &nonce_point);
+  quote.r_hint = nonce_point;
+}
+
 }  // namespace
+
+// One speculative quote: the body and key as of BeginQuote, signed by
+// whichever thread claims the job.  Owns everything it reads.
+struct QuoteJob final : sim::OffloadQueue::Job {
+  QuoteJob(Quote body, const crypto::U256& aik, sim::OffloadQueue& queue)
+      : quote(std::move(body)), aik(aik), queue(queue) {}
+  void Run() override { SignQuote(aik, quote); }
+
+  Quote quote;
+  const crypto::U256 aik;
+  sim::OffloadQueue& queue;
+};
 
 crypto::Digest ExtendDigest(const crypto::Digest& old_value,
                             const crypto::Digest& measurement) {
@@ -179,7 +203,7 @@ void Tpm::Reset() { pcrs_.fill(crypto::Digest{}); }
 
 bool Tpm::PcrIsClean(int index) const { return ReadPcr(index) == crypto::Digest{}; }
 
-Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
+Quote Tpm::QuoteBody(crypto::ByteView nonce, uint32_t pcr_mask) const {
   assert(aik_private_.has_value() && "CreateAik() must be called before quoting");
   Quote quote;
   quote.nonce.assign(nonce.begin(), nonce.end());
@@ -189,13 +213,41 @@ Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
       quote.pcr_values.push_back(pcrs_[static_cast<size_t>(i)]);
     }
   }
-  // Sign in the batch-friendly even-y form and ship the nonce point as the
-  // verifier's batch hint (the digest does not cover it; see Quote::r_hint).
-  crypto::EcPoint nonce_point;
-  quote.signature = crypto::P256::Instance().Sign(
-      *aik_private_, quote.MessageDigest(), &nonce_point);
-  quote.r_hint = nonce_point;
   return quote;
+}
+
+Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
+  Quote quote = QuoteBody(nonce, pcr_mask);
+  SignQuote(*aik_private_, quote);
+  return quote;
+}
+
+PendingQuote Tpm::BeginQuote(crypto::ByteView nonce, uint32_t pcr_mask,
+                             sim::OffloadQueue& queue) const {
+  auto job = std::make_shared<QuoteJob>(QuoteBody(nonce, pcr_mask),
+                                        *aik_private_, queue);
+  queue.Submit(job);
+  return job;
+}
+
+Quote Tpm::FinishQuote(PendingQuote pending) {
+  QuoteJob& job = *pending;
+  // The job's thread writes only the signature and hint; the body and key
+  // it signs are read-only, so comparing them needs no wait.
+  bool unchanged = aik_private_ == job.aik;
+  size_t next = 0;
+  for (int i = 0; unchanged && i < kNumPcrs; ++i) {
+    if (job.quote.pcr_mask & (1u << i)) {
+      unchanged = job.quote.pcr_values[next++] == pcrs_[static_cast<size_t>(i)];
+    }
+  }
+  if (!unchanged) {
+    ++quotes_resigned_;
+    return MakeQuote(job.quote.nonce, job.quote.pcr_mask);
+  }
+  job.queue.Wait(job);
+  ++quotes_presigned_;
+  return std::move(job.quote);
 }
 
 namespace {

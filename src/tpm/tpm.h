@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +29,10 @@
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
 #include "src/sim/time.h"
+
+namespace bolted::sim {
+class OffloadQueue;
+}  // namespace bolted::sim
 
 namespace bolted::tpm {
 
@@ -80,6 +85,15 @@ struct Quote {
   static std::optional<Quote> Deserialize(crypto::ByteView data);
 };
 
+// A quote whose signature is being computed on a host thread while the
+// TPM command's modelled latency elapses (Tpm::BeginQuote/FinishQuote).
+// The handle is one pointer: the job itself (PCR snapshot, key copy,
+// result) lives on the heap, shared with the offload queue, so a
+// coroutine frame that holds the handle stays small and a frame destroyed
+// mid-command leaves the job nothing of its owner's to touch.
+struct QuoteJob;
+using PendingQuote = std::shared_ptr<QuoteJob>;
+
 class Tpm {
  public:
   // endorsement_seed determines the EK; latency models command cost.
@@ -115,6 +129,23 @@ class Tpm {
   // Produces a quote over the PCRs selected by pcr_mask (bit i = PCR i),
   // signed with the AIK.  Requires CreateAik() first.
   Quote MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const;
+
+  // The same quote, signed speculatively: BeginQuote snapshots the selected
+  // PCRs and the AIK at command start and submits the signature to
+  // `queue`; FinishQuote, called when the command's latency has elapsed,
+  // re-reads both.  Unchanged, it returns the job's signature — ECDSA
+  // here is deterministic (the nonce is derived from key and digest), so
+  // it is byte-identical to a MakeQuote at finish time.  Changed (a PCR
+  // extend, Reset or CreateAik in between), it re-signs through MakeQuote.
+  // Either way FinishQuote returns exactly MakeQuote(nonce, pcr_mask) as
+  // of the moment it is called.  Requires CreateAik() first.
+  PendingQuote BeginQuote(crypto::ByteView nonce, uint32_t pcr_mask,
+                          sim::OffloadQueue& queue) const;
+  Quote FinishQuote(PendingQuote pending);
+  // Telemetry (outside the obs registry): quotes FinishQuote served from
+  // the speculative signature, and quotes it had to re-sign.
+  uint64_t quotes_presigned() const { return quotes_presigned_; }
+  uint64_t quotes_resigned() const { return quotes_resigned_; }
 
   // Verifies signature and internal consistency of a quote against an
   // expected AIK public key.  The PreparedKey overload is the polling hot
@@ -157,6 +188,8 @@ class Tpm {
 
  private:
   crypto::Digest PolicyDigest(uint32_t pcr_mask) const;
+  // The unsigned quote body: nonce, mask and the selected PCR values now.
+  Quote QuoteBody(crypto::ByteView nonce, uint32_t pcr_mask) const;
 
   TpmLatencyModel latency_;
   FaultHook fault_hook_;
@@ -167,6 +200,8 @@ class Tpm {
   std::optional<crypto::U256> aik_private_;
   crypto::EcPoint aik_public_;
   std::array<crypto::Digest, kNumPcrs> pcrs_{};
+  uint64_t quotes_presigned_ = 0;
+  uint64_t quotes_resigned_ = 0;
 };
 
 // Registrar-side half of the credential-activation protocol: encrypts

@@ -2,17 +2,19 @@
 // oracle (equivalence, exact blame under poisoning, adversarial R hints,
 // Wycheproof-style rejection vectors), Tpm::VerifyQuoteBatch, and the
 // verifier's fleet pipeline (verdict, trace-digest, obs and batch-stat
-// invariance across worker counts, stale-AIK negatives, nodes removed
-// mid-verification, teardown mid-round).
+// invariance across offload-queue sizes, stale-AIK negatives, nodes
+// removed mid-verification, teardown mid-round).
 //
 // Selected with `ctest -L attestation`; the TSan leg of scripts/check.sh
-// runs this binary too, since the fleet pipeline's pool threads verify
-// while the simulation thread runs.
+// runs this binary too, since queue threads sign quotes and verify quote
+// batches while the simulation thread runs.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifdef __linux__
@@ -26,6 +28,7 @@
 #include "src/keylime/verifier.h"
 #include "src/machine/machine.h"
 #include "src/obs/obs.h"
+#include "src/sim/offload.h"
 
 namespace bolted {
 namespace {
@@ -306,12 +309,16 @@ TEST(QuoteBatchTest, MatchesVerifyQuoteIncludingCorruption) {
 // firmware, one node is registered with an unreachable agent address; the
 // rest are healthy.  `staggered` spreads the TPMs' quote latencies
 // (1 s + 10 ms per node index), so quotes land one by one over the round
-// instead of all at one instant.
+// instead of all at one instant.  `queue_threads` >= 0 attaches an offload
+// queue of that many threads (0: every job runs inline at its wait);
+// otherwise the process-wide queue serves the fleet.
 struct FleetFixture {
   static constexpr int kNodes = 24;
   static constexpr int kCompromised = 17;
   static constexpr int kUnreachable = 21;
 
+  // Declared before sim: an attached queue outlives the simulation.
+  std::unique_ptr<sim::OffloadQueue> queue;
   sim::Simulation sim;
   net::Network fabric{sim, sim::Duration::Microseconds(10), 1.25e9};
   net::Endpoint& registrar_ep{fabric.CreateEndpoint("registrar")};
@@ -326,8 +333,14 @@ struct FleetFixture {
   std::vector<std::string> names;
 
   explicit FleetFixture(uint64_t seed = 9001, int nodes = kNodes,
-                        bool staggered = false)
-      : sim{seed} {
+                        bool staggered = false, int queue_threads = -1)
+      : queue(queue_threads >= 0
+                  ? std::make_unique<sim::OffloadQueue>(static_cast<uint32_t>(queue_threads))
+                  : nullptr),
+        sim{seed} {
+    if (queue != nullptr) {
+      sim.set_offload(queue.get());
+    }
     mc.flash_firmware = firmware::BuildLinuxBoot("src");
     whitelist->AllowBoot(mc.flash_firmware.digest);
     fabric.AttachToVlan(registrar_ep.address(), 50);
@@ -411,18 +424,16 @@ void ExpectFleetVerdicts(const std::vector<keylime::VerificationResult>& results
 }
 
 TEST(FleetTest, VerdictsAndDigestsInvariantAcrossBatchAndWorkers) {
-  const keylime::Verifier::FleetOptions configs[] = {
-      {.workers = 1, .batch_size = 1},
-      {.workers = 1, .batch_size = 7},
-      {.workers = 1, .batch_size = 64},
-      {.workers = 2, .batch_size = 16},
-      {.workers = 8, .batch_size = 64},
+  struct Config {
+    int queue_threads;
+    int batch_size;
   };
+  const Config configs[] = {{0, 1}, {0, 7}, {0, 64}, {1, 16}, {7, 64}};
   uint64_t expected_digest = 0;
   std::vector<std::string> expected_failures;
   for (size_t c = 0; c < std::size(configs); ++c) {
-    FleetFixture fleet;
-    fleet.verifier.SetFleetOptions(configs[c]);
+    FleetFixture fleet(9001, FleetFixture::kNodes, false, configs[c].queue_threads);
+    fleet.verifier.SetFleetOptions({.batch_size = configs[c].batch_size});
     auto first = fleet.Poll();
     auto second = fleet.Poll();  // steady state: caches warm
     ExpectFleetVerdicts(first);
@@ -440,10 +451,10 @@ TEST(FleetTest, VerdictsAndDigestsInvariantAcrossBatchAndWorkers) {
     } else {
       // The whole point of host-side batching: the simulated event stream
       // (and so the chaos trace digest) cannot depend on the batch size or
-      // worker count.
+      // the queue's thread count.
       EXPECT_EQ(fleet.sim.trace_digest(), expected_digest)
           << "batch=" << configs[c].batch_size
-          << " workers=" << configs[c].workers;
+          << " queue threads=" << configs[c].queue_threads;
       EXPECT_EQ(failures, expected_failures);
     }
   }
@@ -523,24 +534,27 @@ struct FleetOutputs {
   uint32_t sqrt_recoveries = 0;
   uint32_t rejected_hints = 0;
   uint64_t batched = 0;
+  uint64_t presigned = 0;
+  uint64_t resigned = 0;
 };
 
 TEST(FleetTest, WorkerCountChangesNothingObservable) {
   // 72 staggered nodes: with batch 64 one full batch is sealed mid-round.
   // Node 5's forged signature makes every multi-quote batch holding it
-  // bisect.
+  // bisect.  The oracle is the zero-thread queue: every quote signed and
+  // every batch verified inline, on the simulation thread.
   constexpr int kNodes = 72;
   constexpr int kForged = 5;
   constexpr uint64_t kLanded = kNodes - 1;  // all but the unreachable node
   for (const int batch : {1, 7, 64}) {
     FleetOutputs oracle;
-    for (const int workers : {1, 2, 4, 8}) {
-      FleetFixture fleet(9001, kNodes, /*staggered=*/true);
+    for (const int threads : {0, 1, 3, 7}) {
+      FleetFixture fleet(9001, kNodes, /*staggered=*/true, threads);
       fleet.ForgeSignatures(kForged);
 #if BOLTED_OBS
       obs::Registry registry(fleet.sim);
 #endif
-      fleet.verifier.SetFleetOptions({.workers = workers, .batch_size = batch});
+      fleet.verifier.SetFleetOptions({.batch_size = batch});
       const auto first = fleet.Poll();
       const auto second = fleet.Poll();
       ExpectFleetVerdicts(first, {{kForged, "quote signature invalid"}});
@@ -559,27 +573,41 @@ TEST(FleetTest, WorkerCountChangesNothingObservable) {
       out.sqrt_recoveries = stats.sqrt_recoveries;
       out.rejected_hints = stats.rejected_hints;
       out.batched = fleet.verifier.batched_verifications();
-      // Every sealed batch was verified exactly once, by a pool thread or
-      // at the join; with one worker there is no pool.
+      for (const auto& machine : fleet.machines) {
+        out.presigned += machine->tpm().quotes_presigned();
+        out.resigned += machine->tpm().quotes_resigned();
+      }
+      // Every sealed batch was verified exactly once, by a queue thread or
+      // at the join, and every quote was signed exactly once, by a queue
+      // thread or by the agent when its command finished; a zero-thread
+      // queue hands nothing off.
       const uint64_t batches =
           2 * ((kLanded + static_cast<uint64_t>(batch) - 1) / static_cast<uint64_t>(batch));
       EXPECT_EQ(fleet.verifier.fleet_batches_offloaded() +
                     fleet.verifier.fleet_batches_drained(),
                 batches);
-      if (workers == 1) {
+      EXPECT_EQ(fleet.queue->submitted(), batches + out.presigned + out.resigned);
+      EXPECT_EQ(fleet.queue->thread_runs() + fleet.queue->waiter_runs(),
+                fleet.queue->submitted());
+      if (threads == 0) {
         EXPECT_EQ(fleet.verifier.fleet_batches_offloaded(), 0u);
         EXPECT_EQ(fleet.verifier.fleet_join_wait_ns(), 0u);
+        EXPECT_EQ(fleet.queue->thread_runs(), 0u);
+        EXPECT_FALSE(fleet.queue->started());
       }
       if (batch > 1) {  // a singleton batch is checked directly, not bisected
         EXPECT_GT(out.bisections, 0u) << "batch=" << batch;
       }
       EXPECT_EQ(out.batched, 2 * kLanded);
+      EXPECT_EQ(out.presigned, 2 * kLanded);
+      EXPECT_EQ(out.resigned, 0u);
 
-      if (workers == 1) {
+      if (threads == 0) {
         oracle = out;
         continue;
       }
-      const auto where = ::testing::Message() << "batch=" << batch << " workers=" << workers;
+      const auto where = ::testing::Message() << "batch=" << batch
+                                              << " queue threads=" << threads;
       EXPECT_EQ(out.failures, oracle.failures) << where;
       EXPECT_EQ(out.trace_digest, oracle.trace_digest) << where;
       EXPECT_EQ(out.metrics, oracle.metrics) << where;
@@ -587,6 +615,8 @@ TEST(FleetTest, WorkerCountChangesNothingObservable) {
       EXPECT_EQ(out.sqrt_recoveries, oracle.sqrt_recoveries) << where;
       EXPECT_EQ(out.rejected_hints, oracle.rejected_hints) << where;
       EXPECT_EQ(out.batched, oracle.batched) << where;
+      EXPECT_EQ(out.presigned, oracle.presigned) << where;
+      EXPECT_EQ(out.resigned, oracle.resigned) << where;
     }
   }
 }
@@ -595,8 +625,8 @@ TEST(FleetTest, WorkerCountChangesNothingObservable) {
 TEST(FleetTest, PoolLeavesTheSimulationThreadUnpinned) {
   cpu_set_t before;
   ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
-  FleetFixture fleet(9001, 40, /*staggered=*/true);
-  fleet.verifier.SetFleetOptions({.workers = 4, .batch_size = 4});
+  FleetFixture fleet(9001, 40, /*staggered=*/true, /*queue_threads=*/3);
+  fleet.verifier.SetFleetOptions({.batch_size = 4});
   ExpectFleetVerdicts(fleet.Poll());
   cpu_set_t after;
   ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
@@ -636,13 +666,13 @@ TEST(VerifierRemovalTest, RemoveDuringVerifyNodeFailsClosed) {
 
 // The same inside a pipelined fleet round: node 2 is removed before its
 // quote lands, node 3 after its quote landed and was sealed into a batch
-// (the batch keeps the AIK it was fetched with alive until it is checked,
-// by a pool thread or at the join), and node 4 is removed and re-added
-// after landing.
+// (the batch keeps the quote and the AIK it was fetched with alive until
+// it is checked, by a queue thread or at the join), and node 4 is removed
+// and re-added after landing.
 TEST(VerifierRemovalTest, RemoveDuringVerifyFleetFailsClosed) {
-  for (const int workers : {1, 4}) {
-    FleetFixture fleet(9001, FleetFixture::kNodes, /*staggered=*/true);
-    fleet.verifier.SetFleetOptions({.workers = workers, .batch_size = 1});
+  for (const int threads : {0, 3}) {
+    FleetFixture fleet(9001, FleetFixture::kNodes, /*staggered=*/true, threads);
+    fleet.verifier.SetFleetOptions({.batch_size = 1});
     std::vector<keylime::VerificationResult> results(fleet.names.size());
     auto round = [&]() -> Task {
       co_await fleet.verifier.VerifyFleet(fleet.names, results.data());
@@ -666,21 +696,46 @@ TEST(VerifierRemovalTest, RemoveDuringVerifyFleetFailsClosed) {
   }
 }
 
-// Tearing a fleet down mid-round — the verifier first, then the
-// simulation that still owns the suspended round — joins the pool instead
-// of leaving its threads inside a destroyed round.
-TEST(FleetTest, TeardownMidRoundJoinsThePool) {
+// Holds a queue thread until opened, so the jobs queued behind it are
+// still pending when their owners go away.
+struct Gate final : sim::OffloadQueue::Job {
+  void Run() override { open.wait(false, std::memory_order_acquire); }
+  void Open() {
+    open.store(true, std::memory_order_release);
+    open.notify_all();
+  }
+  std::atomic<bool> open{false};
+};
+
+// Tearing a fleet down mid-round — the verifier, the machines and the
+// simulation that still owns the suspended round and agent handlers —
+// with sign jobs and sealed batches still queued: the queue thread then
+// runs every one of them, over memory the jobs own (ASan would report a
+// touch of anything freed).
+TEST(FleetTest, TeardownMidRoundLeavesQueuedJobsSelfContained) {
+  sim::OffloadQueue queue(1);
+  const auto gate = std::make_shared<Gate>();
+  queue.Submit(gate);
   auto fleet = std::make_unique<FleetFixture>(9001, FleetFixture::kNodes,
                                               /*staggered=*/true);
-  fleet->verifier.SetFleetOptions({.workers = 4, .batch_size = 1});
+  fleet->sim.set_offload(&queue);
+  fleet->verifier.SetFleetOptions({.batch_size = 1});
   std::vector<keylime::VerificationResult> results(fleet->names.size());
   auto round = [&]() -> Task {
     co_await fleet->verifier.VerifyFleet(fleet->names, results.data());
   };
   fleet->sim.Spawn(round());
-  fleet->sim.RunUntil(fleet->sim.now() + sim::Duration::Milliseconds(1500));
+  // By 1.1 s nodes 0..9 have quoted (their signatures ran on the waiting
+  // agent, the thread being held) and their batches are queued; the
+  // others' sign jobs are still queued behind the gate.
+  fleet->sim.RunUntil(fleet->sim.now() + sim::Duration::Milliseconds(1100));
   EXPECT_GT(fleet->verifier.verifications(), 0u);
+  EXPECT_GT(queue.submitted(), queue.waiter_runs() + 1);
   fleet.reset();
+  gate->Open();
+  while (queue.thread_runs() + queue.waiter_runs() < queue.submitted()) {
+    std::this_thread::yield();
+  }
 }
 
 }  // namespace

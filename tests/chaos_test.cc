@@ -41,6 +41,7 @@
 #include "src/core/enclave.h"
 #include "src/faults/faults.h"
 #include "src/obs/obs.h"
+#include "src/sim/offload.h"
 
 namespace bolted {
 namespace {
@@ -57,6 +58,10 @@ struct ChaosResult {
   std::string obs_detail;
   uint64_t digest = 0;
   uint64_t faults_fired = 0;  // guards against a vacuously green run
+  // Speculative quote signatures the TPMs served, and quotes they had to
+  // re-sign because the TPM changed during the command (a crash mid-quote).
+  uint64_t quotes_presigned = 0;
+  uint64_t quotes_resigned = 0;
 };
 
 #if BOLTED_OBS
@@ -131,8 +136,12 @@ struct Placement {
   const char* node = "";
 };
 
+// `queue`, when given, is attached to the cloud's simulation and must
+// outlive the call; otherwise the process-wide offload queue signs quotes.
 ChaosResult RunChaosScenario(uint64_t seed,
-                             sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault) {
+                             sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault,
+                             sim::OffloadQueue* queue = nullptr,
+                             const faults::FaultProfile& profile = {}) {
   ChaosResult result;
 
   core::CloudConfig config;
@@ -142,6 +151,7 @@ ChaosResult RunChaosScenario(uint64_t seed,
   config.scheduler = scheduler;
   core::Cloud cloud(config);
   sim::Simulation& sim = cloud.sim();
+  sim.set_offload(queue);
 #if BOLTED_OBS
   // Invariant (e) witnesses the whole run; attaching the registry must not
   // perturb the event stream (invariant (d) would catch it if it did).
@@ -180,7 +190,6 @@ ChaosResult RunChaosScenario(uint64_t seed,
     }
   });
 
-  faults::FaultProfile profile;
   faults::FaultInjector injector(
       sim, cloud.fabric(),
       faults::FaultPlan::Generate(seed, profile, cloud.num_machines()));
@@ -313,6 +322,10 @@ ChaosResult RunChaosScenario(uint64_t seed,
                         injector.flaps_injected() + injector.crashes_injected() +
                         injector.partition_drops() +
                         injector.tpm_faults_injected();
+  for (size_t i = 0; i < cloud.num_machines(); ++i) {
+    result.quotes_presigned += cloud.machine(i).tpm().quotes_presigned();
+    result.quotes_resigned += cloud.machine(i).tpm().quotes_resigned();
+  }
 #if BOLTED_OBS
   CheckObsInvariant(registry, injector, cloud,
                     ta.verifier().transient_retries() +
@@ -320,6 +333,39 @@ ChaosResult RunChaosScenario(uint64_t seed,
                     &result);
 #endif
   return result;
+}
+
+// A machine crash inside a quote command's modelled latency power-cycles
+// the TPM under the agent's speculative signature: the quote must be
+// re-signed (over the reset PCRs, exactly what an inline MakeQuote at the
+// command's end returns), and a run whose quotes are signed on queue
+// threads must replay the zero-thread queue's event stream byte for byte.
+// Among the first 200 seeds of the sweep series (i * 1000003 + 17) with
+// four crashes per plan, 135000422 is the one that lands a crash
+// mid-quote; none of the first 160 does with the default single crash.
+TEST(ChaosOffload, CrashMidQuoteResignsAndKeepsTheInlineDigest) {
+  constexpr uint64_t kSeed = 135000422;
+  faults::FaultProfile profile;
+  profile.crashes = 4;
+  sim::OffloadQueue inline_queue(0);
+  sim::OffloadQueue threaded(3);
+  const ChaosResult oracle =
+      RunChaosScenario(kSeed, sim::SchedulerKind::kWheel, &inline_queue, profile);
+  const ChaosResult run =
+      RunChaosScenario(kSeed, sim::SchedulerKind::kWheel, &threaded, profile);
+  EXPECT_GT(oracle.quotes_resigned, 0u);
+  EXPECT_EQ(run.quotes_resigned, oracle.quotes_resigned);
+  EXPECT_EQ(run.quotes_presigned, oracle.quotes_presigned);
+  EXPECT_EQ(run.digest, oracle.digest);
+  EXPECT_EQ(inline_queue.thread_runs(), 0u);
+  EXPECT_GT(threaded.submitted(), 0u);
+  for (const ChaosResult* r : {&oracle, &run}) {
+    EXPECT_TRUE(r->terminated) << r->converge_detail;
+    EXPECT_FALSE(r->cross_enclave) << r->cross_detail;
+    EXPECT_TRUE(r->clean) << r->clean_detail;
+    EXPECT_TRUE(r->converged) << r->converge_detail;
+    EXPECT_TRUE(r->obs_ok) << r->obs_detail;
+  }
 }
 
 class ChaosSeedTest : public ::testing::Test {

@@ -367,37 +367,6 @@ TEST(WorkerPoolTest, DispatchAndJoinPublishPlainWrites) {
   }
 }
 
-// Launch returns while the workers run; the caller works meanwhile (its
-// writes are its own until Join), then Join publishes the workers' plain
-// writes.  Job 0 is the caller's to run or not: a launched pool never runs
-// it.  RunOnAll still works between launches.
-TEST(WorkerPoolTest, LaunchRunsWorkersWhileTheCallerWorks) {
-  WorkerPool pool(4);
-  std::vector<uint64_t> seen(4, 0);
-  uint64_t round = 0;
-  const std::function<void(uint32_t)> job = [&round, &seen](uint32_t t) {
-    seen[t] = round * 10 + t;
-  };
-  for (round = 1; round <= 500; ++round) {
-    pool.Launch(job);
-    uint64_t caller_work = 0;
-    for (uint64_t i = 0; i < round; ++i) {
-      caller_work += i;
-    }
-    pool.Join();
-    EXPECT_EQ(caller_work, round * (round - 1) / 2);
-    EXPECT_EQ(seen[0], 0u) << "round " << round;
-    for (uint32_t t = 1; t < 4; ++t) {
-      ASSERT_EQ(seen[t], round * 10 + t) << "round " << round;
-    }
-    if (round % 100 == 0) {
-      pool.RunOnAll(job);
-      EXPECT_EQ(seen[0], round * 10);
-      seen[0] = 0;
-    }
-  }
-}
-
 TEST(WorkerPoolTest, SingleThreadPoolRunsInline) {
   WorkerPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
@@ -407,11 +376,6 @@ TEST(WorkerPoolTest, SingleThreadPoolRunsInline) {
     seen = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, caller);
-  bool ran = false;
-  const std::function<void(uint32_t)> job = [&ran](uint32_t) { ran = true; };
-  pool.Launch(job);
-  pool.Join();
-  EXPECT_FALSE(ran);  // no workers to launch; job 0 stays the caller's
 }
 
 TEST(FaultPlanPartition, RoutesAndReindexesTargets) {
